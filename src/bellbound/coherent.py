@@ -27,6 +27,12 @@ DEFAULT_TAIL_TOL = 1e-14
 #: Automatic cutoffs never go below this photon number.
 MIN_AUTO_CUTOFF = 16
 
+#: Automatic cutoffs never go above this photon number; past it the request
+#: is a capacity error.  At the default tail tolerance that admits alpha up to
+#: about 28.25, so the Fock amplitudes, which start at exp(-alpha^2/2), stay
+#: far from underflow.
+MAX_AUTO_CUTOFF = 1024
+
 _PLUS_FAMILIES = (1, 2)
 _MINUS_FAMILIES = (3, 4)
 
@@ -74,19 +80,27 @@ class FockTruncation:
 def _poisson_tail(alpha: float, cutoff: int) -> float:
     """Mass of the Poisson(alpha^2) distribution strictly above ``cutoff``.
 
-    Summed termwise from below (terms stay bounded, no factorial overflow).
+    Each term ``exp(m log(lam) - lam - log m!)`` is formed in log space with
+    ``math.lgamma``, so nothing underflows before it is negligible however
+    large alpha is.  Below the mean the head is summed and subtracted from 1;
+    above it the terms fall geometrically and are summed until they stop
+    adding to the total.
     """
     lam = alpha * alpha
-    term = math.exp(-lam)
-    for m in range(1, cutoff + 2):
-        term *= lam / m
-    # term now equals e^-lam * lam^(cutoff+1) / (cutoff+1)!
+    log_lam = math.log(lam)
+
+    def term(m: int) -> float:
+        return math.exp(m * log_lam - lam - math.lgamma(m + 1))
+
+    if cutoff < lam:
+        return max(0.0, 1.0 - math.fsum(term(m) for m in range(cutoff + 1)))
     total = 0.0
     m = cutoff + 1
-    while term > 1e-300 and m < cutoff + 2000:
-        total += term
+    t = term(m)
+    while t > total * 1e-17:
+        total += t
         m += 1
-        term *= lam / m
+        t = term(m)
     return total
 
 
@@ -96,18 +110,28 @@ def fock_truncation(
     """Truncation for ``|±alpha>`` leaving at most ``tail_tol`` mass above it.
 
     ``cutoff="auto"`` picks the smallest cutoff (at least 16) meeting the
-    tolerance; an explicit integer cutoff that misses the tolerance raises a
-    capacity error.
+    tolerance, and raises a capacity error when that is above 1024; an
+    explicit integer cutoff that misses the tolerance raises one too.
     """
     if not (isinstance(alpha, (int, float)) and alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if cutoff == "auto":
-        n = MIN_AUTO_CUTOFF
-        while _poisson_tail(alpha, n) >= tail_tol:
-            n += 1
-        return FockTruncation(cutoff=n, tail_bound=_poisson_tail(alpha, n), tail_tol=tail_tol)
+        if _poisson_tail(alpha, MAX_AUTO_CUTOFF) >= tail_tol:
+            raise CapacityError(
+                f"alpha={alpha} needs a Fock cutoff above {MAX_AUTO_CUTOFF} to leave "
+                f"tail mass below {tail_tol:.0e}"
+            )
+        # the tail falls as the cutoff grows: bisect for the first one below tail_tol
+        lo, hi = MIN_AUTO_CUTOFF, MAX_AUTO_CUTOFF
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _poisson_tail(alpha, mid) < tail_tol:
+                hi = mid
+            else:
+                lo = mid + 1
+        return FockTruncation(cutoff=lo, tail_bound=_poisson_tail(alpha, lo), tail_tol=tail_tol)
     if not isinstance(cutoff, int) or isinstance(cutoff, bool):
         raise ValueError(f'cutoff must be a positive integer or "auto", got {cutoff!r}')
     return FockTruncation(
@@ -133,6 +157,11 @@ def coherent_fock_vector(sign: int, alpha: float, trunc: FockTruncation) -> np.n
         vec[m] = amp
         amp *= sign * alpha / math.sqrt(m + 1)
     norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise CapacityError(
+            f"the Fock amplitudes of alpha={alpha} underflow: exp(-alpha^2/2) is "
+            "below the smallest double"
+        )
     if abs(1.0 / norm - 1.0) >= trunc.tail_tol:
         raise CapacityError(
             f"cutoff {n} is too small for alpha={alpha}: renormalization factor "

@@ -74,7 +74,7 @@ class SourceOperator:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match d1^s1*d2^s2 = {expected}"
             )
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        herm = _asymmetry(m)
         if herm > 1e-10:
             raise ValidationError(
                 f"source operator is not Hermitian (max asymmetry {herm:.3e})"
@@ -88,8 +88,55 @@ class SourceOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def _kron_power(m: np.ndarray, s: int) -> np.ndarray:
-    return reduce(np.kron, [m] * s)
+#: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
+_HERM_BLOCK = 256
+
+
+def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Largest entry of ``|m - m^H|``; with ``out``, also ``out = (m + m^H) / 2``.
+
+    Works on pairs of square blocks, so no temporary is larger than one block,
+    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.
+    """
+    n = m.shape[0]
+    worst = 0.0
+    for i in range(0, n, _HERM_BLOCK):
+        rows = slice(i, i + _HERM_BLOCK)
+        for j in range(i, n, _HERM_BLOCK):
+            cols = slice(j, j + _HERM_BLOCK)
+            upper = m[rows, cols]
+            lower = m[cols, rows]
+            worst = max(worst, float(np.max(np.abs(upper - lower.conj().T))))
+            if out is not None:
+                # both halves before either is written, as out may be m
+                upper_mean = (upper + lower.conj().T) / 2.0
+                lower_mean = (lower + upper.conj().T) / 2.0
+                out[rows, cols] = upper_mean
+                out[cols, rows] = lower_mean
+    return worst
+
+
+def _tensor_power(v: np.ndarray, s: int) -> np.ndarray:
+    return reduce(np.kron, [v] * s)
+
+
+def _w_terms(a: np.ndarray, b: np.ndarray, s: int):
+    """W block as a term list ``(kets, bras, weights)``.
+
+    ``W = kets @ diag(weights) @ bras^H``; every column is a tensor power of
+    one vector, so the factors cost O(d^s) per term.  A diagonal block has one
+    term, ``e_k^(x)s``.  At ``s = 1`` the polarization sum collapses to the
+    single term ``|e_k><e_k1|``; otherwise it has the four terms
+    ``(e_k + p e_k1)^(x)s`` with weight ``p / 2^(s+1)``, ``p`` in ``±1, ±i``.
+    """
+    if np.allclose(a, b, atol=1e-14):
+        ket = _tensor_power(a, s)[:, None]
+        return ket, ket, np.ones(1, dtype=complex)
+    if s == 1:
+        return a[:, None], b[:, None], np.ones(1, dtype=complex)
+    phases = np.array([1.0, -1.0, 1.0j, -1.0j])
+    kets = np.stack([_tensor_power(a + p * b, s) for p in phases], axis=1)
+    return kets, kets, phases / 2 ** (s + 1)
 
 
 def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
@@ -103,6 +150,10 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
     with unnormalized projectors onto ``e_k ± e_k1`` and ``e_k ± i e_k1``;
     at ``s = 1`` the combination collapses to ``|e_k><e_k1|`` exactly, and a
     partial trace over all but any one copy does the same for every ``s``.
+
+    The block is materialized from its term list (at most four tensor-power
+    kets of length ``d^s``) as one product, ``(kets * weights) @ bras^H``:
+    O(d^s * terms) for the factors and O(d^(2s) * terms) for the product.
     """
     if s < 1:
         raise ValueError(f"copy count s must be >= 1, got {s}")
@@ -112,20 +163,20 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"basis vectors differ in length: {a.shape} vs {b.shape}")
     d = len(a)
     _guard_dim(d**s, f"w block with d={d}, s={s}")
-    if np.allclose(a, b, atol=1e-14):
-        return _kron_power(np.outer(a, a.conj()), s)
-    terms = []
-    for vec, weight in (
-        (a + b, 1.0),
-        (a - b, -1.0),
-        (a + 1j * b, 1.0j),
-        (a - 1j * b, -1.0j),
-    ):
-        terms.append(weight * _kron_power(np.outer(vec, vec.conj()), s))
-    return sum(terms) / 2 ** (s + 1)
+    kets, bras, weights = _w_terms(a, b, s)
+    return (kets * weights) @ bras.conj().T
 
 
 def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
+    """``sum_{k,k1} c_k c_k1 W1(k,k1) (x) W2(k,k1)`` as one factorized product.
+
+    The W-block term lists of both sides are paired into one list of
+    ``N = d1^s1 * d2^s2``-long kets and bras: one term per diagonal block and
+    at most four per off-diagonal one, since one side holds a single copy.
+    Building the factors costs O(N * terms); the operator is then the single
+    product ``(kets * weights) @ bras^H``, O(N^2 * terms), made exactly
+    Hermitian in place.
+    """
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
     coeffs = schmidt.coefficients
     left = schmidt.left_basis
@@ -135,13 +186,18 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     dim1 = d1**s1
     dim2 = d2**s2
     _guard_dim(dim1 * dim2, f"source operator with d1={d1}, s1={s1}, d2={d2}, s2={s2}")
-    total = np.zeros((dim1 * dim2, dim1 * dim2), dtype=complex)
+    kets, bras, weights = [], [], []
     for k in range(schmidt.rank):
         for k1 in range(schmidt.rank):
-            w1 = build_w_block(left[k], left[k1], s1)
-            w2 = build_w_block(right[k], right[k1], s2)
-            total += coeffs[k] * coeffs[k1] * np.kron(w1, w2)
-    total = (total + total.conj().T) / 2.0
+            ket1, bra1, w1 = _w_terms(left[k], left[k1], s1)
+            ket2, bra2, w2 = _w_terms(right[k], right[k1], s2)
+            kets.append(np.einsum("ia,jb->ijab", ket1, ket2).reshape(dim1 * dim2, -1))
+            bras.append(np.einsum("ia,jb->ijab", bra1, bra2).reshape(dim1 * dim2, -1))
+            weights.append(coeffs[k] * coeffs[k1] * np.outer(w1, w2).reshape(-1))
+    ket = np.concatenate(kets, axis=1)
+    bra = np.concatenate(bras, axis=1)
+    total = (ket * np.concatenate(weights)) @ bra.conj().T
+    _asymmetry(total, out=total)  # symmetrize in place
     return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=total)
 
 
@@ -163,23 +219,24 @@ def build_source_sx1(schmidt: SchmidtData, s1: int) -> SourceOperator:
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
+    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix.
+
+    The eigenvalues are those of ``(m + m^H) / 2``.  An exactly Hermitian
+    input, such as every :class:`SourceOperator` matrix, is its own Hermitian
+    part and is not copied.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    herm = _asymmetry(m)
     if herm > 1e-8:
         raise ValidationError(
             f"trace norm expects a Hermitian matrix (max asymmetry {herm:.3e})"
         )
-    return float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2.0))))
-
-
-def _embed_single(x: np.ndarray, d: int, s: int, slot: int) -> np.ndarray:
-    """``x`` acting on copy ``slot`` of ``s`` copies, identity elsewhere."""
-    out = np.eye(d**slot, dtype=complex)
-    out = np.kron(out, x)
-    return np.kron(out, np.eye(d ** (s - 1 - slot), dtype=complex))
+    if herm > 0.0:
+        m = m.copy()
+        _asymmetry(m, out=m)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def _random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -189,6 +246,26 @@ def _random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     if scale < 1e-12:  # probability zero; keep the check total
         return np.eye(d, dtype=complex)
     return h / scale
+
+
+def _two_copy_marginals(T: SourceOperator) -> np.ndarray:
+    """Two-copy marginals of a source operator, one per slot pair.
+
+    Entry ``p = slot1 * s2 + slot2`` is the partial trace of ``T`` over every
+    copy except copy ``slot1`` of site 1 and copy ``slot2`` of site 2, with
+    axes ``(d1, d2, d1, d2)``.  Each is one einsum over a reshaped view of
+    ``T``, touching O(N * d1 * d2) entries.
+    """
+    n = T.s1 + T.s2
+    dims = (T.d1,) * T.s1 + (T.d2,) * T.s2
+    t = T.matrix.reshape(dims + dims)
+    out = []
+    for slot1 in range(T.s1):
+        for slot2 in range(T.s1, n):
+            cols = [n + i if i in (slot1, slot2) else i for i in range(n)]
+            kept = [slot1, slot2, n + slot1, n + slot2]
+            out.append(np.einsum(t, list(range(n)) + cols, kept))
+    return np.stack(out)
 
 
 def verify_dilation(
@@ -201,6 +278,11 @@ def verify_dilation(
     expectation tr[T (X1 on one copy) (x) (X2 on one copy)] against the state
     expectation <psi| X1 (x) X2 |psi>.  Returns the largest absolute
     difference; the construction makes this float noise.
+
+    The source expectation only sees the two-copy marginal of ``T`` on the
+    slot pair, so each of the ``s1 * s2`` marginals is formed once by a
+    partial trace (:func:`_two_copy_marginals`) and every sampled pair is
+    evaluated on those ``d1*d2``-dimensional matrices.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -210,21 +292,15 @@ def verify_dilation(
             f"state has ({state.d1}, {state.d2})"
         )
     amp = state.amplitudes
-    dim1 = T.d1**T.s1
-    dim2 = T.d2**T.s2
-    t4 = T.matrix.reshape(dim1, dim2, dim1, dim2)
+    marginals = _two_copy_marginals(T)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         x1 = _random_unit_hermitian(rng, T.d1)
         x2 = _random_unit_hermitian(rng, T.d2)
         want = complex(np.trace(x1 @ amp @ x2.T @ amp.conj().T))
-        for slot1 in range(T.s1):
-            e1 = _embed_single(x1, T.d1, T.s1, slot1)
-            for slot2 in range(T.s2):
-                e2 = _embed_single(x2, T.d2, T.s2, slot2)
-                got = complex(np.einsum("abcd,ca,db->", t4, e1, e2))
-                worst = max(worst, abs(got - want))
+        got = np.einsum("pabcd,ca,db->p", marginals, x1, x2)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 
 

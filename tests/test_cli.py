@@ -186,6 +186,11 @@ class TestCoherentCommands:
         assert len(lines) == 11
         assert all(float(line.split(",")[1]) == 3.0 for line in lines[1:])
 
+    def test_large_alpha_capacity_exit(self, capsys):
+        code, out, err = run(capsys, ["coherent", "--family", "1", "--alpha", "30"])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_rejects_bad_family(self, capsys):
         code, _, _ = run(capsys, ["coherent", "--family", "7", "--alpha", "0.5"])
         assert code == 1
@@ -293,6 +298,15 @@ class TestErrorPaths:
         path.write_text("{not json")
         code, _, _ = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("cutoff", ["auto", 2000])
+    def test_large_alpha_state_file(self, capsys, tmp_path, cutoff):
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps(
+            {"type": "coherent", "family": 1, "alpha": 40, "cutoff": cutoff}))
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"

@@ -30,6 +30,20 @@ def _fidelity_limit(alpha):
     return (2 * alpha * math.exp(-(alpha**2))) ** 2 / (1 - math.exp(-4 * alpha**2))
 
 
+def _poisson_truncation_oracle(alpha, tail_tol):
+    """Smallest cutoff >= 16 with Poisson(alpha^2) mass above it below ``tail_tol``.
+
+    Log-pmf from a cumulative sum of logs, tails by a reversed log-sum-exp.
+    """
+    lam = alpha**2
+    m = np.arange(int(lam + 60 * math.sqrt(lam) + 200))
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(m[1:]))])
+    log_p = m * math.log(lam) - lam - log_fact
+    tails = np.exp(np.logaddexp.accumulate(log_p[::-1])[::-1][1:])  # P(X > n)
+    n = 16 + int(np.argmax(tails[16:] < tail_tol))
+    return n, float(tails[n])
+
+
 class TestFockTruncation:
     def test_auto_cutoffs(self):
         assert fock_truncation(0.5).cutoff == 16
@@ -42,6 +56,19 @@ class TestFockTruncation:
         assert trunc.tail_bound < 1e-12
         with pytest.raises(CapacityError, match="tail mass"):
             fock_truncation(2.0, cutoff=5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 26.0, 27.5, 28.2])
+    def test_matches_log_space_oracle(self, alpha):
+        # from alpha ~ 27.3 on, exp(-alpha^2) is below the smallest double
+        cutoff, tail = _poisson_truncation_oracle(alpha, 1e-14)
+        trunc = fock_truncation(alpha)
+        assert trunc.cutoff == cutoff
+        assert trunc.tail_bound == pytest.approx(tail, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [28.3, 30.0, 40.0, 1e6])
+    def test_auto_cutoff_capacity(self, alpha):
+        with pytest.raises(CapacityError, match="above 1024"):
+            fock_truncation(alpha)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -73,6 +100,12 @@ class TestCoherentVectors:
         bogus = FockTruncation(cutoff=5, tail_bound=0.0)
         with pytest.raises(CapacityError, match="renormalization"):
             coherent_fock_vector(1, 2.0, bogus)
+
+    def test_underflow_is_capacity_error(self):
+        # an explicit cutoff passes the tail check, but exp(-alpha^2/2) = 0
+        trunc = fock_truncation(40.0, cutoff=2000)
+        with pytest.raises(CapacityError, match="underflow"):
+            coherent_fock_vector(1, 40.0, trunc)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,89 @@ def _four_projector_block(u, v, s):
     return out / 2 ** (s + 1)
 
 
+def _rank_state(rng, d, rank):
+    """Random d x d pure state of the given Schmidt rank."""
+    g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) @ (
+        rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+    )
+    return PureState(g / np.linalg.norm(g))
+
+
+def _kron_source(sd, s1, s2):
+    """Independent source operator: one full kron product per pair of blocks."""
+
+    def block(u, v, s):
+        if np.allclose(u, v):
+            proj = np.outer(u, u.conj())
+            out = proj
+            for _ in range(s - 1):
+                out = np.kron(out, proj)
+            return out
+        return _four_projector_block(u, v, s)
+
+    c, left, right = sd.coefficients, sd.left_basis, sd.right_basis
+    total = 0
+    for k in range(sd.rank):
+        for k1 in range(sd.rank):
+            total = total + c[k] * c[k1] * np.kron(
+                block(left[k], left[k1], s1), block(right[k], right[k1], s2)
+            )
+    return total
+
+
+def _marginal(op, slot1, slot2):
+    """Two-copy marginal by repeated partial traces over the other copies."""
+    n = op.s1 + op.s2
+    dims = (op.d1,) * op.s1 + (op.d2,) * op.s2
+    t = op.matrix.reshape(dims + dims)
+    keep = (slot1, op.s1 + slot2)
+    # trace the highest copy first so the lower axis numbers stay valid
+    for i in reversed([i for i in range(n) if i not in keep]):
+        t = np.trace(t, axis1=i, axis2=t.ndim // 2 + i)
+    return t.reshape(op.d1 * op.d2, op.d1 * op.d2)
+
+
+def _embed_per_slot_residual(op, state, n_samples, seed):
+    """The dilation residual with every observable embedded in the full space."""
+
+    def embed(x, d, s, slot):
+        return np.kron(np.kron(np.eye(d**slot), x), np.eye(d ** (s - 1 - slot)))
+
+    def unit_hermitian(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2.0
+        return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+
+    amp = state.amplitudes
+    psi = amp.reshape(-1)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        x1 = unit_hermitian(rng, op.d1)
+        x2 = unit_hermitian(rng, op.d2)
+        want = np.vdot(psi, np.kron(x1, x2) @ psi)
+        for slot1 in range(op.s1):
+            for slot2 in range(op.s2):
+                e = np.kron(embed(x1, op.d1, op.s1, slot1), embed(x2, op.d2, op.s2, slot2))
+                worst = max(worst, abs(np.trace(op.matrix @ e) - want))
+    return worst
+
+
+def _oracle_cases():
+    """(state, operator) pairs over d <= 3, s <= 3, full and deficient rank."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for d in (2, 3):
+        for rank in sorted({d, d - 1}):
+            st = _rank_state(rng, d, rank)
+            sd = schmidt_decompose(st)
+            assert sd.rank == rank
+            for s in (1, 2, 3):
+                cases.append((st, build_source_1xs(sd, s)))
+                cases.append((st, build_source_sx1(sd, s)))
+    return cases
+
+
 class TestWBlock:
     def test_single_copy_is_transfer_operator(self):
         e0 = np.array([1, 0], dtype=complex)
@@ -164,6 +247,47 @@ class TestVerifyDilation:
         other = PureState(np.eye(3, dtype=complex) / math.sqrt(3))
         with pytest.raises(ValueError, match="match"):
             verify_dilation(op, other)
+
+
+class TestFactorisedPath:
+    def test_builders_match_kron_reference(self):
+        for st, op in _oracle_cases():
+            ref = _kron_source(schmidt_decompose(st), op.s1, op.s2)
+            assert np.max(np.abs(op.matrix - ref)) <= 1e-13
+
+    def test_operator_is_exactly_hermitian(self):
+        for _, op in _oracle_cases():
+            assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+    def _checked_operators(self):
+        """The oracle cases plus Hermitian, unit-trace corruptions of them."""
+        rng = np.random.default_rng(43)
+        for st, op in _oracle_cases():
+            yield st, op
+            n = op.matrix.shape[0]
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            noise = 1e-3 * (g + g.conj().T)
+            noise -= np.trace(noise) / n * np.eye(n)
+            yield st, SourceOperator(
+                s1=op.s1, s2=op.s2, d1=op.d1, d2=op.d2, matrix=op.matrix + noise
+            )
+
+    def test_sampled_residual_below_marginal_bound(self):
+        # |tr[(M - rho)(X1 (x) X2)]| <= ||M - rho||_1 for unit-norm observables
+        for st, op in self._checked_operators():
+            psi = st.vector()
+            rho = np.outer(psi, psi.conj())
+            bound = max(
+                float(np.sum(np.abs(np.linalg.eigvalsh(_marginal(op, i, j) - rho))))
+                for i in range(op.s1)
+                for j in range(op.s2)
+            )
+            assert verify_dilation(op, st, n_samples=20, seed=5) <= bound + 1e-14
+
+    def test_matches_embed_per_slot_formula(self):
+        for st, op in self._checked_operators():
+            want = _embed_per_slot_residual(op, st, n_samples=6, seed=9)
+            assert abs(verify_dilation(op, st, n_samples=6, seed=9) - want) <= 1e-12
 
 
 class TestTraceNorm:
