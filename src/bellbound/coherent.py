@@ -30,7 +30,8 @@ MIN_AUTO_CUTOFF = 16
 #: Automatic cutoffs never go above this photon number; past it the request
 #: is a capacity error.  At the default tail tolerance that admits alpha up to
 #: about 28.25, so the Fock amplitudes, which start at exp(-alpha^2/2), stay
-#: far from underflow.
+#: far from underflow.  :func:`fock_state` refuses explicit cutoffs above it
+#: too, since its amplitude matrix grows with the cutoff squared.
 MAX_AUTO_CUTOFF = 1024
 
 _PLUS_FAMILIES = (1, 2)
@@ -258,8 +259,15 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
 
     Built from the truncated coherent vectors with the family's closed-form
     normalization, then renormalized exactly; the residual must stay below
-    1e-6 or the cutoff is deemed insufficient.
+    1e-6 or the cutoff is deemed insufficient.  A cutoff above
+    ``MAX_AUTO_CUTOFF`` is a capacity error, raised before anything is
+    allocated.
     """
+    if trunc.cutoff > MAX_AUTO_CUTOFF:
+        raise CapacityError(
+            f"Fock cutoff {trunc.cutoff} is above the largest supported cutoff "
+            f"{MAX_AUTO_CUTOFF}; the amplitude matrix grows with its square"
+        )
     alpha = fam.alpha
     p = coherent_fock_vector(1, alpha, trunc)
     m = coherent_fock_vector(-1, alpha, trunc)

@@ -68,7 +68,16 @@ class SourceOperator:
     def __post_init__(self) -> None:
         if min(self.s1, self.s2, self.d1, self.d2) < 1:
             raise ValueError("setting counts and dimensions must be >= 1")
-        m = np.array(self.matrix, dtype=complex)
+        m = self.matrix
+        if not (
+            isinstance(m, np.ndarray)
+            and m.dtype == complex
+            and m.flags.owndata
+            and not m.flags.writeable
+        ):
+            # a matrix someone can still write to is copied, so the operator
+            # stays frozen; the builders hand over frozen arrays they own
+            m = np.array(m, dtype=complex)
         expected = self.d1**self.s1 * self.d2**self.s2
         if m.shape != (expected, expected):
             raise ValidationError(
@@ -96,7 +105,9 @@ def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
     """Largest entry of ``|m - m^H|``; with ``out``, also ``out = (m + m^H) / 2``.
 
     Works on pairs of square blocks, so no temporary is larger than one block,
-    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.
+    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.  A NaN
+    or infinite entry in either triangle is a :class:`ValidationError`: the
+    gap it leaves is NaN, which no tolerance comparison would catch.
     """
     n = m.shape[0]
     worst = 0.0
@@ -106,7 +117,10 @@ def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
             cols = slice(j, j + _HERM_BLOCK)
             upper = m[rows, cols]
             lower = m[cols, rows]
-            worst = max(worst, float(np.max(np.abs(upper - lower.conj().T))))
+            gap = float(np.max(np.abs(upper - lower.conj().T)))
+            if not np.isfinite(gap):
+                raise ValidationError("matrix has a NaN or infinite entry")
+            worst = max(worst, gap)
             if out is not None:
                 # both halves before either is written, as out may be m
                 upper_mean = (upper + lower.conj().T) / 2.0
@@ -198,6 +212,7 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     bra = np.concatenate(bras, axis=1)
     total = (ket * np.concatenate(weights)) @ bra.conj().T
     _asymmetry(total, out=total)  # symmetrize in place
+    total.setflags(write=False)
     return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=total)
 
 
@@ -218,12 +233,87 @@ def build_source_sx1(schmidt: SchmidtData, s1: int) -> SourceOperator:
     return _build_source(schmidt, s1, 1)
 
 
+#: Certified relative accuracy of the compressed trace norm: the compression
+#: is used only when its worst-case error is at most this times ``||m||_F``.
+TRACE_NORM_RTOL = 1e-12
+
+#: First width of the range sketch in :func:`trace_norm`, doubled while the
+#: sketch's numerical rank fills it.  Every Schmidt-rank-2 source operator
+#: (rank at most 10) fits the first width.
+_SKETCH_START = 16
+
+
+def _range_compression(m: np.ndarray) -> np.ndarray | None:
+    """Hermitian ``Q^H m Q`` on a certified numerical range ``Q`` of ``m``, or None.
+
+    ``Q`` comes from a seeded Gaussian range sketch ``Y = m @ Omega`` (Halko,
+    Martinsson & Tropp 2011), widened by doubling until the numerical rank of
+    ``Y`` stops filling its columns: its left singular vectors above
+    ``n * eps`` of the largest.  For Hermitian ``m`` and ``P = Q Q^H``,
+
+        | ||m||_1 - ||Q^H m Q||_1 | <= ||m - P m P||_1
+                                    <= sqrt(n) ||m - P m P||_F
+                                    <= 2 sqrt(n) ||(I - P) m||_F,
+
+    and the last residual is computed exactly, one row block at a time.  None
+    when that bound exceeds ``TRACE_NORM_RTOL * ||m||_F``, or when the sketch
+    would need more than ``n / 4`` columns: past that width the sketch, the
+    residual and the compression together cost more than a dense
+    ``eigvalsh``.
+    """
+    n = m.shape[0]
+    rng = np.random.default_rng(0)  # a fixed sketch keeps trace norms deterministic
+    y = np.empty((n, 0), dtype=complex)
+    k = _SKETCH_START
+    while True:
+        if 4 * k > n:
+            return None
+        new = k - y.shape[1]
+        omega = rng.standard_normal((n, new)) + 1j * rng.standard_normal((n, new))
+        y = np.concatenate([y, m @ omega], axis=1)
+        # Y surely fills its columns when its singular values, read cheaply
+        # from the Gram matrix, all exceed 1e-6 of the largest; only a Y that
+        # may not needs the SVD
+        gram = np.linalg.svd(y.conj().T @ y, compute_uv=False)
+        if gram[-1] <= 1e-12 * gram[0]:
+            u, sv, _ = np.linalg.svd(y, full_matrices=False)
+            rank = int(np.count_nonzero(sv > sv[0] * n * np.finfo(float).eps))
+            if rank < k:
+                break
+        k *= 2
+    q = u[:, :rank]
+    qm = q.conj().T @ m
+    resid_sq = 0.0
+    for i in range(0, n, _HERM_BLOCK):
+        rows = slice(i, i + _HERM_BLOCK)
+        block = q[rows] @ qm
+        block -= m[rows]
+        resid_sq += float(np.linalg.norm(block)) ** 2
+    if 2.0 * np.sqrt(n * resid_sq) > TRACE_NORM_RTOL * float(np.linalg.norm(m)):
+        return None
+    h = qm @ q
+    return (h + h.conj().T) / 2.0
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix.
 
     The eigenvalues are those of ``(m + m^H) / 2``.  An exactly Hermitian
     input, such as every :class:`SourceOperator` matrix, is its own Hermitian
     part and is not copied.
+
+    A numerically low-rank input is compressed to its range first
+    (:func:`_range_compression`).  A seeded Gaussian sketch ``m @ Omega``,
+    16 columns wide and doubled while its numerical rank fills it, gives an
+    orthonormal basis ``Q`` of the range, and the result is the trace norm of
+    the small matrix ``Q^H m Q``.  The compression is used only when the
+    exact residual ``||m - Q Q^H m||_F`` certifies an error of at most
+    ``TRACE_NORM_RTOL * ||m||_F``.  It costs O(n^2 k) for a final sketch
+    width ``k``, against O(n^3) for a dense ``eigvalsh``; a source operator
+    has rank at most ``r + 4r(r-1)`` for Schmidt rank ``r``, far below its
+    dimension.  Inputs under 64 rows, inputs whose sketch would grow past
+    ``n / 4`` columns and inputs that fail the certificate take the dense
+    ``eigvalsh``.  The sketch is seeded, so repeated calls agree bit for bit.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -236,7 +326,8 @@ def trace_norm(matrix: np.ndarray) -> float:
     if herm > 0.0:
         m = m.copy()
         _asymmetry(m, out=m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    small = _range_compression(m)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m if small is None else small))))
 
 
 def _random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -311,6 +311,15 @@ class TestSeesaw:
         v2, _ = seesaw_maximize(f, BELL, restarts=2, seed=9)
         assert v1 == v2
 
+    def test_scaled_weights_search_cleanly(self):
+        # float noise in the objective grows with the weights; the
+        # monotonicity guard must not mistake it for a broken update
+        f = chsh_functional()
+        scaled = BellFunctional(f.outcomes1, f.outcomes2, 1e9 * f.phi)
+        value, asm = seesaw_maximize(scaled, BELL, restarts=3, seed=0)
+        assert value == pytest.approx(2e9 * ROOT2, rel=1e-9)
+        assert bell_value(scaled, BELL, asm) == pytest.approx(value, rel=1e-12)
+
 
 class TestCertify:
     def test_chsh_tsirelson_certified(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ class TestViolateCommand:
         assert report["quantum_value"] == pytest.approx(2.0, abs=1e-9)
         assert report["ratio"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_scaled_functional_searches_without_traceback(self, capsys, tmp_path, bell_file):
+        f = chsh_functional()
+        path = tmp_path / "chsh_1e9.json"
+        scaled = functional_to_json(f)
+        scaled["phi"] = (1e9 * f.phi).tolist()
+        path.write_text(json.dumps(scaled))
+        code, out, err = run(capsys, [
+            "violate", "--functional", str(path), "--input", bell_file, "--restarts", "3",
+        ])
+        assert code in (0, 4) and "Traceback" not in err
+        assert json.loads(out)["ratio"] == pytest.approx(ROOT2, rel=1e-9)
+
     def test_byte_identical_reruns(self, capsys, bell_file):
         argv = ["violate", "--functional", "chsh", "--input", bell_file, "--seed", "7"]
         _, first, _ = run(capsys, argv)
@@ -307,6 +320,18 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_explicit_cutoff_refused_fast(self, capsys, tmp_path):
+        # the amplitude matrix would need tens of GB; the guard must fire first
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps(
+            {"type": "coherent", "family": 1, "alpha": 1, "cutoff": 20000}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "cutoff 20000" in err
 
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"

@@ -23,6 +23,7 @@ from bellbound import (
     schmidt_sum_bound,
     two_mode_amplitudes,
 )
+from bellbound.coherent import MAX_AUTO_CUTOFF
 
 
 def _fidelity_limit(alpha):
@@ -252,6 +253,14 @@ class TestFockState:
         anti = fock_state(CoherentFamily(4, 0.7), trunc).amplitudes
         assert np.max(np.abs(sym - sym.T)) < 1e-14
         assert np.max(np.abs(anti + anti.T)) < 1e-14
+
+    def test_explicit_cutoff_above_cap_refused(self):
+        trunc = fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
+        with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
+            fock_state(CoherentFamily(1, 1.0), trunc)
+        # the cap itself is still accepted
+        st = fock_state(CoherentFamily(1, 1.0), fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF))
+        assert st.d1 == MAX_AUTO_CUTOFF + 1
 
 
 class TestBellLimitFidelity:

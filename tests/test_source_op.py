@@ -1,9 +1,12 @@
 """Source-operator construction, dilation checks, and trace norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellbound import (
@@ -110,6 +113,19 @@ def _embed_per_slot_residual(op, state, n_samples, seed):
                 e = np.kron(embed(x1, op.d1, op.s1, slot1), embed(x2, op.d2, op.s2, slot2))
                 worst = max(worst, abs(np.trace(op.matrix @ e) - want))
     return worst
+
+
+def _record_eigvalsh_sizes(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` to record each input's row count; returns the list."""
+    sizes = []
+    dense_eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return dense_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
 
 
 def _oracle_cases():
@@ -301,6 +317,93 @@ class TestTraceNorm:
         with pytest.raises(ValidationError, match="[Hh]ermitian"):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [
+        [[0.5, np.nan], [0.0, 0.5]],  # upper triangle, which eigvalsh never reads
+        [[0.5, 0.0], [np.inf, 0.5]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, complex(0.0, -np.inf)]],
+    ])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            trace_norm(np.array(bad, dtype=complex))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(1, 200), label="n")
+        # low ranks are where the compressed path runs, so draw them often
+        rank = data.draw(
+            st.one_of(st.integers(0, min(n, 40)), st.integers(0, n)), label="rank"
+        )
+        scale = 10.0 ** data.draw(st.floats(-6.0, 9.0), label="log10 scale")
+        spectrum = data.draw(
+            st.sampled_from(["gaussian", "degenerate", "tail 1e-9", "tail 1e-14"]),
+            label="spectrum",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        eig = rng.standard_normal(rank)
+        if spectrum == "degenerate":
+            eig = np.where(eig < 0.0, -1.0, 1.0)
+        elif spectrum.startswith("tail"):
+            eig[rank // 2:] *= float(spectrum.split()[1])
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        v = np.linalg.qr(g)[0] if rank else g
+        m = (v * (scale * eig)) @ v.conj().T
+        m = (m + m.conj().T) / 2.0
+        want = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        assert abs(trace_norm(m) - want) <= 1e-12 * np.linalg.norm(m)
+
+    def test_path_follows_numerical_rank(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        ladder = build_source_1xs(schmidt_decompose(_rank_state(rng, 2, 2)), 6).matrix
+        g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        full = (g + g.conj().T) / 2.0
+        # the benchmark's smoke sizes: N = 8 and 27 at full Schmidt rank
+        smoke = [build_source_sx1(schmidt_decompose(_rank_state(rng, d, d)), 2).matrix
+                 for d in (2, 3)]
+        sizes = _record_eigvalsh_sizes(monkeypatch)
+        for m in [ladder, full] + smoke:
+            trace_norm(m)
+        # rank 2 at s = 6: at most 2 + 4*2*1 = 10 tensor-power kets
+        assert sizes == [10, 128, 8, 27]
+
+    def test_certificate_rejects_dropped_tail(self, monkeypatch):
+        # 397 eigenvalues of 2e-14 fall below the sketch's rank cut-off
+        # (n * eps relative); dropping them would move the norm by 8e-12
+        rng = np.random.default_rng(31)
+        n = 400
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = np.linalg.qr(g)[0]
+        eig = np.full(n, 2e-14)
+        eig[:3] = (1.0, -1.0, 0.5)
+        m = (v * eig) @ v.conj().T
+        m = (m + m.conj().T) / 2.0
+        want = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+        sizes = _record_eigvalsh_sizes(monkeypatch)
+        assert abs(trace_norm(m) - want) <= 1e-12 * np.linalg.norm(m)
+        assert sizes == [n]
+
+    def test_ladder_operators_match_dense_and_repeat(self):
+        rng = np.random.default_rng(19)
+        for d, s, rank in ((2, 7, 2), (3, 4, 3), (4, 3, 4), (8, 2, 8)):
+            sd = schmidt_decompose(_rank_state(rng, d, rank))
+            for op in (build_source_1xs(sd, s), build_source_sx1(sd, s)):
+                norm = trace_norm(op.matrix)
+                want = float(np.sum(np.abs(np.linalg.eigvalsh(op.matrix))))
+                assert abs(norm - want) <= 1e-12
+                assert trace_norm(op.matrix) == norm  # seeded sketch: bit-identical
+
+    def test_compression_stays_below_one_operator(self):
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(23), 6, 6))
+        m = build_source_1xs(sd, 3).matrix
+        tracemalloc.start()
+        try:
+            trace_norm(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes
+
 
 class TestSourceOperatorValidation:
     def test_rejects_wrong_trace(self):
@@ -313,6 +416,32 @@ class TestSourceOperatorValidation:
         m[0, 1] = 1e-3
         with pytest.raises(ValidationError, match="[Hh]ermitian"):
             SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=m)
+
+    def test_rejects_non_finite(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=m)
+
+    def test_caller_matrix_copied_and_frozen(self):
+        m = np.eye(4, dtype=complex) / 4
+        op = SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=m)
+        assert not op.matrix.flags.writeable
+        m[0, 0] = 7.0
+        assert op.matrix[0, 0] == 0.25
+
+    def test_builder_hands_over_its_matrix(self):
+        # one operator is 26.9 MB at d = 6, s = 3; a second copy would double the peak
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(29), 6, 6))
+        build_source_1xs(sd, 1)
+        tracemalloc.start()
+        try:
+            op = build_source_1xs(sd, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not op.matrix.flags.writeable
+        assert peak < 2 * op.matrix.nbytes
 
 
 class TestJsonRoundTrip:
