@@ -23,7 +23,8 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import PureState, schmidt_decompose
+from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PureState,
+                     check_hermitian, schmidt_decompose)
 
 #: Maximum number of deterministic strategy pairs enumerated exactly.
 ENUMERATION_GUARD = 10**7
@@ -120,34 +121,19 @@ class Assemblage:
                 elements = []
                 for a, element in enumerate(povm):
                     m = np.array(element, dtype=complex)
-                    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                        raise ValidationError(
-                            f"site {site_no} setting {s} element {a}: not square"
-                        )
+                    what = f"site {site_no} setting {s} element {a}"
+                    check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
                     if dim is None:
                         dim = m.shape[0]
                     elif m.shape[0] != dim:
                         raise ValidationError(
-                            f"site {site_no} setting {s} element {a}: dimension "
-                            f"{m.shape[0]} differs from {dim}"
-                        )
-                    herm = float(np.max(np.abs(m - m.conj().T)))
-                    if herm > 1e-10:
-                        raise ValidationError(
-                            f"site {site_no} setting {s} element {a}: not Hermitian "
-                            f"(max asymmetry {herm:.3e})"
-                        )
-                    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-                    if lo < -1e-10:
-                        raise ValidationError(
-                            f"site {site_no} setting {s} element {a}: not positive "
-                            f"semidefinite (min eigenvalue {lo:.3e})"
+                            f"{what}: dimension {m.shape[0]} differs from {dim}"
                         )
                     m.setflags(write=False)
                     elements.append(m)
                 total = sum(elements)
                 dev = float(np.max(np.abs(total - np.eye(dim))))
-                if dev > 1e-10:
+                if dev > POVM_SUM_ATOL:
                     raise ValidationError(
                         f"site {site_no} setting {s}: POVM elements do not sum to "
                         f"identity (max deviation {dev:.3e})"
@@ -482,7 +468,7 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     inside it (1e-9 float slack).
     """
     ext = lhv_extrema(f)
-    if abs(ext.b_lhv) < 1e-12:
+    if abs(ext.b_lhv) < LHV_ZERO_ATOL:
         raise DegeneracyError(
             "classical bound is zero (all deterministic strategies vanish); "
             "violation ratio is undefined"

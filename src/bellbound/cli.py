@@ -112,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("violate", help="search and certify a quantum violation")
     p.add_argument("--functional", required=True)
     p.add_argument("--input", required=True, help="state JSON file")
-    p.add_argument("--seesaw", action="store_true",
-                   help="search with the see-saw maximizer (the default behavior)")
     p.add_argument("--value", type=float,
                    help="certify this externally obtained value instead of searching")
     p.add_argument("--restarts", type=int, default=10)

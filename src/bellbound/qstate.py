@@ -13,11 +13,18 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 
-#: Tolerance on the squared norm of a state vector.
-NORM_ATOL = 1e-12
-
-#: Tolerance for orthonormality and eigenvalue-sum checks on Schmidt data.
-ORTHO_ATOL = 1e-10
+# Acceptance tolerances: every threshold that decides whether an input is accepted.
+NORM_ATOL = 1e-12  #: |squared norm - 1| of a state vector
+ORTHO_ATOL = 1e-10  #: Gram deviation and squared-coefficient sum of Schmidt data
+HERM_ATOL_DENSITY = 1e-12  #: max entry of |m - m^H| of a density operator
+HERM_ATOL_POVM = 1e-10  #: max entry of |m - m^H| of a POVM element
+HERM_ATOL_SOURCE = 1e-10  #: max entry of |m - m^H| of a source operator
+HERM_ATOL_TRACE_NORM = 1e-8  #: max entry of |m - m^H| of a trace-norm input
+TRACE_ATOL = 1e-10  #: |tr m - 1| of a unit-trace operator
+PSD_ATOL = 1e-10  #: -(min eigenvalue) of a positive-semidefinite operator
+POVM_SUM_ATOL = 1e-10  #: max entry of |sum_a E_a - I| of a POVM
+GRAM_DET_ATOL = 1e-12  #: Gram determinant above which two vectors are independent
+LHV_ZERO_ATOL = 1e-12  #: |classical bound| from which a violation ratio is defined
 
 #: Singular values at or below this are discarded as numerical zeros.
 DEFAULT_TRUNCATION_TOL = 1e-12
@@ -27,6 +34,68 @@ def _frozen_complex(a) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+#: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
+_HERM_BLOCK = 256
+
+
+def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Largest entry of ``|m - m^H|``; with ``out``, also ``out = (m + m^H) / 2``.
+
+    Works on pairs of square blocks, so no temporary is larger than one block,
+    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.  A NaN
+    or infinite entry in either triangle is a :class:`ValidationError`: the
+    gap it leaves is NaN, which no tolerance comparison would catch.
+    """
+    n = m.shape[0]
+    worst = 0.0
+    for i in range(0, n, _HERM_BLOCK):
+        rows = slice(i, i + _HERM_BLOCK)
+        for j in range(i, n, _HERM_BLOCK):
+            cols = slice(j, j + _HERM_BLOCK)
+            upper = m[rows, cols]
+            lower = m[cols, rows]
+            gap = float(np.max(np.abs(upper - lower.conj().T)))
+            if not np.isfinite(gap):
+                raise ValidationError("matrix has a NaN or infinite entry")
+            worst = max(worst, gap)
+            if out is not None:
+                # both halves before either is written, as out may be m
+                upper_mean = (upper + lower.conj().T) / 2.0
+                lower_mean = (lower + upper.conj().T) / 2.0
+                out[rows, cols] = upper_mean
+                out[cols, rows] = lower_mean
+    return worst
+
+
+def check_hermitian(m: np.ndarray, what: str, herm_atol: float,
+                    unit_trace: bool = False, psd: bool = False) -> float:
+    """Validate a finite square matrix as Hermitian; return its asymmetry.
+
+    The asymmetry is the largest entry of ``|m - m^H|`` (:func:`_asymmetry`,
+    which also refuses NaN and infinite entries) and may not exceed
+    ``herm_atol``.  With ``unit_trace``, ``|tr m - 1|`` may not exceed
+    ``TRACE_ATOL``; with ``psd``, the smallest eigenvalue of ``(m + m^H) / 2``
+    may not fall below ``-PSD_ATOL``.  A failure raises
+    :class:`ValidationError` with a message that begins with ``what``.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    herm = _asymmetry(m)
+    if herm > herm_atol:
+        raise ValidationError(f"{what} is not Hermitian (max asymmetry {herm:.3e})")
+    if unit_trace:
+        tr_err = abs(complex(np.trace(m)) - 1.0)
+        if tr_err > TRACE_ATOL:
+            raise ValidationError(f"{what} trace deviates from 1 by {tr_err:.3e}")
+    if psd:
+        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min(initial=np.inf))
+        if lo < -PSD_ATOL:
+            raise ValidationError(
+                f"{what} is not positive semidefinite (min eigenvalue {lo:.3e})"
+            )
+    return herm
 
 
 @dataclass(frozen=True)
@@ -73,21 +142,7 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
-            raise ValidationError(
-                f"density matrix is not Hermitian (max asymmetry {herm:.3e})"
-            )
-        tr_err = abs(float(np.trace(m).real) - 1.0)
-        if tr_err > 1e-10:
-            raise ValidationError(f"density matrix trace deviates from 1 by {tr_err:.3e}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -1e-10:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {lo:.3e}"
-            )
+        check_hermitian(m, "density matrix", HERM_ATOL_DENSITY, unit_trace=True, psd=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -240,10 +295,10 @@ def bell_like_state(v1: np.ndarray, v2: np.ndarray, j: int, k: int) -> PureState
             )
     overlap = complex(np.vdot(a, b))
     gram_det = 1.0 - abs(overlap) ** 2
-    if gram_det <= 1e-12:
+    if gram_det <= GRAM_DET_ATOL:
         raise DegeneracyError(
             f"v1 and v2 are (numerically) linearly dependent: "
-            f"Gram determinant {gram_det:.3e} <= 1e-12"
+            f"Gram determinant {gram_det:.3e} <= {GRAM_DET_ATOL:.0e}"
         )
     sign = 1.0 if j == 0 else -1.0
     if k == 0:

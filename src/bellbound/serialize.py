@@ -60,6 +60,33 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def json_int(obj: dict, key: str, context: str) -> int:
+    """Integer field of a JSON object: an int, or a float with an integral value.
+
+    ``None``, booleans, strings, containers and non-finite or fractional
+    numbers are a :class:`ValidationError`.
+    """
+    value = _require(obj, key, context)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(
+        f"{context} JSON key {key!r} must be an integer, got {value!r:.40}"
+    )
+
+
+def json_reals(obj: dict, key: str, context: str) -> np.ndarray:
+    """Real number or nested lists of them in a JSON object, as a float array."""
+    value = _require(obj, key, context)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"{context} JSON key {key!r} must hold real numbers: {exc}"
+        ) from exc
+
+
 def state_from_json(obj: dict) -> tuple[PureState, float, float]:
     """Parse a state description; returns (state, d1 extent, d2 extent).
 
@@ -70,10 +97,10 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
         raise ValidationError(f"state JSON must be an object, got {type(obj).__name__}")
     kind = _require(obj, "type", "state")
     if kind == "dense":
-        d1 = int(_require(obj, "d1", "dense state"))
-        d2 = int(_require(obj, "d2", "dense state"))
-        re = np.array(_require(obj, "re", "dense state"), dtype=float)
-        im = np.array(_require(obj, "im", "dense state"), dtype=float)
+        d1 = json_int(obj, "d1", "dense state")
+        d2 = json_int(obj, "d2", "dense state")
+        re = json_reals(obj, "re", "dense state")
+        im = json_reals(obj, "im", "dense state")
         if re.shape != (d1, d2) or im.shape != (d1, d2):
             raise ValidationError(
                 f"dense state arrays must have shape ({d1}, {d2}), got "
@@ -81,7 +108,7 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
             )
         return PureState(re + 1j * im), float(d1), float(d2)
     if kind == "schmidt":
-        coeffs = np.array(_require(obj, "coefficients", "schmidt state"), dtype=float)
+        coeffs = json_reals(obj, "coefficients", "schmidt state")
         if coeffs.ndim != 1 or len(coeffs) < 1:
             raise ValidationError("schmidt coefficients must be a nonempty list")
         if np.any(coeffs < 0):
@@ -89,12 +116,14 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
         r = len(coeffs)
         return PureState(np.diag(coeffs.astype(complex))), float(r), float(r)
     if kind == "coherent":
-        family = _require(obj, "family", "coherent state")
-        alpha = _require(obj, "alpha", "coherent state")
+        family = json_int(obj, "family", "coherent state")
+        alpha = json_reals(obj, "alpha", "coherent state")
+        if alpha.ndim != 0:
+            raise ValidationError("coherent state alpha must be a number")
         cutoff = obj.get("cutoff", "auto")
         if cutoff != "auto":
-            cutoff = int(cutoff)
-        fam = CoherentFamily(int(family), float(alpha))
+            cutoff = json_int(obj, "cutoff", "coherent state")
+        fam = CoherentFamily(family, float(alpha))
         trunc = fock_truncation(fam.alpha, cutoff=cutoff)
         return fock_state(fam, trunc), INFINITE, INFINITE
     raise ValidationError(f"unknown state type {kind!r}")
@@ -113,17 +142,23 @@ def functional_from_json(obj: dict) -> BellFunctional:
         raise ValidationError(
             f"functional JSON must be an object, got {type(obj).__name__}"
         )
-    s1 = int(_require(obj, "s1", "functional"))
-    s2 = int(_require(obj, "s2", "functional"))
-    out1 = OutcomeSet(tuple(_require(obj, "outcomes1", "functional")))
-    out2 = OutcomeSet(tuple(_require(obj, "outcomes2", "functional")))
-    phi = np.array(_require(obj, "phi", "functional"), dtype=float)
+    s1 = json_int(obj, "s1", "functional")
+    s2 = json_int(obj, "s2", "functional")
+    out1, out2 = (_outcome_set(obj, key) for key in ("outcomes1", "outcomes2"))
+    phi = json_reals(obj, "phi", "functional")
     expected = (s1, s2, out1.size, out2.size)
     if phi.shape != expected:
         raise ValidationError(
             f"functional phi has shape {phi.shape}, expected {expected}"
         )
     return BellFunctional(out1, out2, phi)
+
+
+def _outcome_set(obj: dict, key: str) -> OutcomeSet:
+    labels = json_reals(obj, key, "functional")
+    if labels.ndim != 1:
+        raise ValidationError(f"functional {key} must be a list of numbers")
+    return OutcomeSet(tuple(labels.tolist()))
 
 
 def functional_to_json(f: BellFunctional) -> dict:

@@ -18,7 +18,9 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .qstate import PureState, SchmidtData
+from .qstate import (HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, PureState, SchmidtData,
+                     _HERM_BLOCK, _asymmetry, check_hermitian)
+from .serialize import json_int, json_reals
 
 #: Default cap on the total dimension d1^s1 * d2^s2 of a source operator.
 DEFAULT_MAX_DIM = 4096
@@ -83,51 +85,9 @@ class SourceOperator:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match d1^s1*d2^s2 = {expected}"
             )
-        herm = _asymmetry(m)
-        if herm > 1e-10:
-            raise ValidationError(
-                f"source operator is not Hermitian (max asymmetry {herm:.3e})"
-            )
-        tr_err = abs(complex(np.trace(m)) - 1.0)
-        if tr_err > 1e-10:
-            raise ValidationError(
-                f"source operator trace deviates from 1 by {tr_err:.3e}"
-            )
+        check_hermitian(m, "source operator", HERM_ATOL_SOURCE, unit_trace=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-#: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
-_HERM_BLOCK = 256
-
-
-def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Largest entry of ``|m - m^H|``; with ``out``, also ``out = (m + m^H) / 2``.
-
-    Works on pairs of square blocks, so no temporary is larger than one block,
-    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.  A NaN
-    or infinite entry in either triangle is a :class:`ValidationError`: the
-    gap it leaves is NaN, which no tolerance comparison would catch.
-    """
-    n = m.shape[0]
-    worst = 0.0
-    for i in range(0, n, _HERM_BLOCK):
-        rows = slice(i, i + _HERM_BLOCK)
-        for j in range(i, n, _HERM_BLOCK):
-            cols = slice(j, j + _HERM_BLOCK)
-            upper = m[rows, cols]
-            lower = m[cols, rows]
-            gap = float(np.max(np.abs(upper - lower.conj().T)))
-            if not np.isfinite(gap):
-                raise ValidationError("matrix has a NaN or infinite entry")
-            worst = max(worst, gap)
-            if out is not None:
-                # both halves before either is written, as out may be m
-                upper_mean = (upper + lower.conj().T) / 2.0
-                lower_mean = (lower + upper.conj().T) / 2.0
-                out[rows, cols] = upper_mean
-                out[cols, rows] = lower_mean
-    return worst
 
 
 def _tensor_power(v: np.ndarray, s: int) -> np.ndarray:
@@ -318,11 +278,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    herm = _asymmetry(m)
-    if herm > 1e-8:
-        raise ValidationError(
-            f"trace norm expects a Hermitian matrix (max asymmetry {herm:.3e})"
-        )
+    herm = check_hermitian(m, "trace norm input", HERM_ATOL_TRACE_NORM)
     if herm > 0.0:
         m = m.copy()
         _asymmetry(m, out=m)
@@ -409,14 +365,7 @@ def source_operator_to_json(T: SourceOperator) -> dict:
 
 def source_operator_from_json(obj: dict) -> SourceOperator:
     """Inverse of :func:`source_operator_to_json`."""
-    try:
-        matrix = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return SourceOperator(
-            s1=int(obj["s1"]),
-            s2=int(obj["s2"]),
-            d1=int(obj["d1"]),
-            d2=int(obj["d2"]),
-            matrix=matrix,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"source operator JSON is missing key {exc}") from exc
+    what = "source operator"
+    sizes = {key: json_int(obj, key, what) for key in ("s1", "s2", "d1", "d2")}
+    matrix = json_reals(obj, "re", what) + 1j * json_reals(obj, "im", what)
+    return SourceOperator(matrix=matrix, **sizes)

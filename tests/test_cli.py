@@ -339,3 +339,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 2
         assert "unknown state type" in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("schmidt", '{"type": "coherent", "family": 1, "alpha": 1, "cutoff": Infinity}'),
+        ("schmidt", '{"type": "dense", "d1": null, "d2": 1, "re": [[1]], "im": [[0]]}'),
+        ("schmidt", '{"type": "dense", "d1": 1e400, "d2": 1, "re": [[1]], "im": [[0]]}'),
+        ("schmidt", '{"type": "dense", "d1": true, "d2": 1, "re": [[1]], "im": [[0]]}'),
+        ("schmidt", '{"type": "dense", "d1": 1.5, "d2": 1, "re": [[1]], "im": [[0]]}'),
+        ("lhv", '{"s1": 1, "s2": 1, "outcomes1": 5, "outcomes2": [1, -1],'
+                ' "phi": [[[[1, 0], [0, 1]]]]}'),
+    ], ids=["cutoff-infinity", "d1-null", "d1-1e400", "d1-bool", "d1-fraction", "outcomes-int"])
+    def test_malformed_integer_fields(self, capsys, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        flag = "--functional" if command == "lhv" else "--input"
+        code, out, err = run(capsys, [command, flag, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_integral_float_fields_parse(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text('{"type": "dense", "d1": 1.0, "d2": 1, "re": [[1]], "im": [[0]]}')
+        code, out, _ = run(capsys, ["schmidt", "--input", str(path)])
+        assert code == 0 and json.loads(out)["d1"] == 1

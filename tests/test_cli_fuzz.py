@@ -1,0 +1,119 @@
+"""Random valid and mangled input files through the CLI: exit codes 0-4, no exception."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellbound.cli import main
+
+#: What a mangled field is replaced with: wrong types, null, non-finite and
+#: out-of-range numbers, nested lists and objects.
+JUNK = [None, True, False, "", "x", "auto", math.nan, math.inf, -math.inf, 2.5, -1, 0, 3,
+        10**30, [], [[]], [1, [2]], {}, {"k": 1}]
+
+_reals = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _normalized(values):
+    a = np.array(values)
+    norm = float(np.linalg.norm(a))
+    return (a / norm if norm > 0.0 else a).tolist()
+
+
+@st.composite
+def states(draw):
+    kind = draw(st.sampled_from(["dense", "schmidt", "coherent"]))
+    if kind == "dense":
+        d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        parts = _normalized(draw(st.lists(_reals, min_size=2 * d1 * d2, max_size=2 * d1 * d2)))
+        re, im = np.reshape(parts, (2, d1, d2)).tolist()
+        return {"type": "dense", "d1": d1, "d2": d2, "re": re, "im": im}
+    if kind == "schmidt":
+        coeffs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        return {"type": "schmidt", "coefficients": _normalized(coeffs)}
+    state = {"type": "coherent", "family": draw(st.integers(1, 4)),
+             "alpha": draw(st.floats(0.2, 1.5))}
+    cutoff = draw(st.sampled_from([None, "auto", 16, 24]))
+    if cutoff is not None:
+        state["cutoff"] = cutoff
+    return state
+
+
+@st.composite
+def functionals(draw):
+    s1, s2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    out1, out2 = (draw(st.sampled_from([[1, -1], [0, 1], [1, 0, -1]])) for _ in range(2))
+    size = s1 * s2 * len(out1) * len(out2)
+    phi = np.reshape(draw(st.lists(_reals, min_size=size, max_size=size)),
+                     (s1, s2, len(out1), len(out2)))
+    return {"s1": s1, "s2": s2, "outcomes1": out1, "outcomes2": out2, "phi": phi.tolist()}
+
+
+def _paths(node, path=()):
+    """Every object key and the first entry of every list, recursively."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _paths(node[0], path + (0,))
+
+
+@st.composite
+def mangled(draw, docs):
+    doc = draw(docs)
+    action = draw(st.sampled_from(["keep", "replace", "delete"]))
+    if action == "keep":
+        return doc
+    path = draw(st.sampled_from(list(_paths(doc))))
+    junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    if not path:
+        return junk
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(state=mangled(states()), functional=mangled(functionals()))
+def test_cli_survives_random_files(state, functional):
+    with tempfile.TemporaryDirectory() as tmp:
+        state_path, functional_path = Path(tmp, "state.json"), Path(tmp, "functional.json")
+        state_path.write_text(json.dumps(state))  # NaN and inf as NaN and Infinity
+        functional_path.write_text(json.dumps(functional))
+        s, f = str(state_path), str(functional_path)
+        # a coherent state is truncated to a Fock cutoff of 16 or more: one copy
+        copies = "1" if isinstance(state, dict) and state.get("type") == "coherent" else "2"
+        for argv in (
+            ["schmidt", "--input", s],
+            ["bound", "--input", s, "--s1", "2", "--s2", "2"],
+            ["source-op", "--input", s, "--s2", copies, "--check", "--samples", "2"],
+            ["lhv", "--functional", f],
+            ["violate", "--functional", f, "--input", s, "--restarts", "1", "--iters", "5"],
+        ):
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2, 3, 4), argv
+            if code in (0, 4):
+                json.loads(out)
+            else:
+                assert err.startswith("error:"), (argv, err)

@@ -1,16 +1,20 @@
-"""Keeps the benchmark runnable: one tiny sourceop-ladder cycle must pass its checks."""
+"""Keeps the benchmark runnable: one tiny cycle of each workload must pass its checks."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_sourceop_ladder_smoke():
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sourceop-ladder", "--seed", "3",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "0", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

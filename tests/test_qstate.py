@@ -7,9 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bellbound import (
+    Assemblage,
     CoherentFamily,
     DegeneracyError,
+    DensityOperator,
     PureState,
+    SourceOperator,
     ValidationError,
     bell_like_state,
     fock_state,
@@ -18,6 +21,7 @@ from bellbound import (
     reduced_state,
     schmidt_decompose,
     schmidt_sum_squared,
+    trace_norm,
 )
 from helpers import random_pure_state, random_unit_vector
 
@@ -43,6 +47,60 @@ class TestPureState:
     def test_amplitudes_read_only(self):
         with pytest.raises(ValueError):
             BELL.amplitudes[0, 0] = 0.0
+
+
+def _povm_element(m):
+    half = np.eye(2) / 2
+    return Assemblage(site1=((m, np.eye(2) - m),), site2=((half, half),))
+
+
+# each caller of the shared Hermitian check, with its tolerance written out so
+# the test pins the table's values, and the size of a valid unit-trace input
+HERMITIAN_CALLERS = [
+    pytest.param(DensityOperator, 1e-12, 2, id="density"),
+    pytest.param(_povm_element, 1e-10, 2, id="povm"),
+    pytest.param(lambda m: SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=m), 1e-10, 4,
+                 id="source"),
+    pytest.param(trace_norm, 1e-8, 2, id="trace_norm"),
+]
+
+
+class TestHermitianCheck:
+    @pytest.mark.parametrize("caller, tol, n", HERMITIAN_CALLERS)
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["upper", "lower"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, caller, tol, n, entry, bad):
+        m = np.eye(n, dtype=complex) / n
+        m[entry] = bad
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            caller(m)
+
+    @pytest.mark.parametrize("caller, tol, n", HERMITIAN_CALLERS)
+    def test_asymmetry_tolerance(self, caller, tol, n):
+        m = np.eye(n, dtype=complex) / n
+        m[0, 1] = 0.5 * tol
+        caller(m)
+        m[0, 1] = 2.0 * tol
+        with pytest.raises(ValidationError, match="is not Hermitian"):
+            caller(m)
+
+    def test_stores_input_unsymmetrized_and_frozen(self):
+        m = np.array([[0.5, 1e-13], [0.0, 0.5]])
+        stored = [DensityOperator(m).matrix, _povm_element(m).site1[0][0]]
+        for out in stored:
+            assert np.array_equal(out, m) and not out.flags.writeable
+
+
+class TestDensityOperator:
+    @pytest.mark.parametrize("matrix, match", [
+        ([[0.5, 0.1], [0.0, 0.5]], "density matrix is not Hermitian"),
+        ([[1.0, 0.0], [0.0, 1.0]], "density matrix trace deviates from 1"),
+        ([[1.5, 0.0], [0.0, -0.5]], "density matrix is not positive semidefinite"),
+        ([[1.0, 0.0]], "density matrix must be square"),
+    ], ids=["non-hermitian", "trace", "non-psd", "non-square"])
+    def test_rejects(self, matrix, match):
+        with pytest.raises(ValidationError, match=match):
+            DensityOperator(np.array(matrix))
 
 
 class TestSchmidtDecompose:
