@@ -274,14 +274,18 @@ def lhv_extrema(f: BellFunctional) -> LhvExtrema:
 
 
 def _pair_expectation(amp: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> float:
-    """tr[rho (M1 (x) M2)] for rho = |amp><amp| without forming the kron."""
+    """tr[rho (M1 (x) M2)] for rho = |amp><amp| without forming the kron.
+
+    Only the see-saw objective calls this; Born tables of whole POVMs go
+    through :func:`_born_table`.
+    """
     return float(np.trace(m1 @ amp @ m2.T @ amp.conj().T).real)
 
 
-def quantum_probabilities(
-    state: PureState, asm: Assemblage, s1: int, s2: int
-) -> np.ndarray:
-    """Born-rule outcome table for one setting pair, shape (m1, m2)."""
+def _check_compatible(
+    state: PureState, asm: Assemblage, s1: int = 0, s2: int = 0
+) -> None:
+    """Raise ValueError unless ``asm`` fits ``state`` and (s1, s2) is a setting pair."""
     if (asm.dim1, asm.dim2) != (state.d1, state.d2):
         raise ValueError(
             f"assemblage dimensions ({asm.dim1}, {asm.dim2}) do not match state "
@@ -291,18 +295,43 @@ def quantum_probabilities(
         raise ValueError(f"setting s1={s1} out of range for {len(asm.site1)} settings")
     if not 0 <= s2 < len(asm.site2):
         raise ValueError(f"setting s2={s2} out of range for {len(asm.site2)} settings")
-    amp = state.amplitudes
-    povm1 = asm.site1[s1]
-    povm2 = asm.site2[s2]
-    table = np.empty((len(povm1), len(povm2)), dtype=float)
-    for a, e1 in enumerate(povm1):
-        for b, e2 in enumerate(povm2):
-            table[a, b] = _pair_expectation(amp, e1, e2)
-    return table
+
+
+def _rows(elements) -> np.ndarray:
+    """POVM elements, or whole POVMs of one site, as rows of shape (n, d*d)."""
+    stack = np.array(elements)
+    return stack.reshape(-1, stack.shape[-1] ** 2)
+
+
+def _born_table(
+    amp: np.ndarray, povm1: tuple[np.ndarray, ...], rows2: np.ndarray
+) -> np.ndarray:
+    """Born values <psi| E1_a (x) F_k |psi> of one site-1 POVM, shape (m1, n).
+
+    ``rows2`` holds site-2 elements F_k as rows (see :func:`_rows`).  With
+    psi the row-major vectorisation of the amplitude matrix A,
+    <psi| E1 (x) F |psi> = sum_jl (A^H E1 A)_jl F_jl, so one batched
+    sandwich per site-1 element and one product with the rows give the table.
+    """
+    sandwiches = amp.conj().T @ np.stack(povm1) @ amp
+    return (sandwiches.reshape(len(povm1), -1) @ rows2.T).real
+
+
+def quantum_probabilities(
+    state: PureState, asm: Assemblage, s1: int, s2: int
+) -> np.ndarray:
+    """Born-rule outcome table for one setting pair, shape (m1, m2)."""
+    _check_compatible(state, asm, s1, s2)
+    return _born_table(state.amplitudes, asm.site1[s1], _rows(asm.site2[s2]))
 
 
 def bell_value(f: BellFunctional, state: PureState, asm: Assemblage) -> float:
-    """Quantum value sum_{s,t,a,b} phi[s,t,a,b] * p(a,b | s,t)."""
+    """Quantum value sum_{s,t,a,b} phi[s,t,a,b] * p(a,b | s,t).
+
+    Costs O(s1*m1*d^3 + s1*s2*m1*m2*d^2): one sandwich per site-1 element and
+    one product per site-1 setting with every site-2 element (see
+    :func:`_born_table`).
+    """
     if len(asm.site1) != f.s1 or len(asm.site2) != f.s2:
         raise ValueError(
             f"assemblage setting counts ({len(asm.site1)}, {len(asm.site2)}) do not "
@@ -320,11 +349,14 @@ def bell_value(f: BellFunctional, state: PureState, asm: Assemblage) -> float:
                 f"site 2 setting {t} has {len(povm)} outcomes, functional expects "
                 f"{f.outcomes2.size}"
             )
+    _check_compatible(state, asm)
+    rows2 = _rows(asm.site2)
+    shape = (f.outcomes1.size, f.s2, f.outcomes2.size)
     total = 0.0
-    for s in range(f.s1):
-        for t in range(f.s2):
-            table = quantum_probabilities(state, asm, s, t)
-            total += float(np.sum(f.phi[s, t] * table))
+    # one site-1 setting at a time: stacking all of site 1 raises peak memory
+    for s, povm1 in enumerate(asm.site1):
+        table = _born_table(state.amplitudes, povm1, rows2).reshape(shape)
+        total += float(np.einsum("tab,atb->", f.phi[s], table))
     return total
 
 

@@ -367,5 +367,13 @@ def source_operator_from_json(obj: dict) -> SourceOperator:
     """Inverse of :func:`source_operator_to_json`."""
     what = "source operator"
     sizes = {key: json_int(obj, key, what) for key in ("s1", "s2", "d1", "d2")}
-    matrix = json_reals(obj, "re", what) + 1j * json_reals(obj, "im", what)
-    return SourceOperator(matrix=matrix, **sizes)
+    re = json_reals(obj, "re", what)
+    im = json_reals(obj, "im", what)
+    # checked before combining, where NumPy would broadcast a row or a
+    # scalar `im`; SourceOperator then checks the size against d1^s1*d2^s2
+    if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
+        raise ValidationError(
+            f"source operator arrays must be square and of one shape, got "
+            f"{re.shape} and {im.shape}"
+        )
+    return SourceOperator(matrix=re + 1j * im, **sizes)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from bellbound import (
@@ -272,6 +274,61 @@ class TestBellValue:
         asm = observable_assemblage(a[:1], b)
         with pytest.raises(ValueError, match="setting counts"):
             bell_value(chsh_functional(), BELL, asm)
+
+    def test_dimension_mismatch(self):
+        a, b = _chsh_observables()
+        asm = observable_assemblage(a, b)
+        rect = random_pure_state(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ValueError, match="assemblage dimensions"):
+            bell_value(chsh_functional(), rect, asm)
+        # outcome counts are checked before dimensions
+        three = BellFunctional(OutcomeSet((0.0, 1.0, 2.0)), OutcomeSet((1.0, -1.0)),
+                               np.zeros((2, 2, 3, 2)))
+        with pytest.raises(ValueError, match="site 1 setting 0 has 2 outcomes"):
+            bell_value(three, rect, asm)
+
+    def test_no_call_per_outcome_pair(self, monkeypatch):
+        # the see-saw objective is the one caller of the per-pair helper
+        import bellbound.bell as bell_module
+
+        def per_pair(*args):
+            raise AssertionError("Born values evaluated one outcome pair at a time")
+
+        monkeypatch.setattr(bell_module, "_pair_expectation", per_pair)
+        a, b = _chsh_observables()
+        asm = observable_assemblage(a, b)
+        assert bell_value(chsh_functional(), BELL, asm) == pytest.approx(2 * ROOT2)
+        assert quantum_probabilities(BELL, asm, 1, 1).shape == (2, 2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_matches_kron_oracle(self, data):
+        d1, d2 = (data.draw(hst.integers(1, 6), label=k) for k in ("d1", "d2"))
+        s1, s2 = (data.draw(hst.integers(1, 3), label=k) for k in ("s1", "s2"))
+        m1, m2 = (data.draw(hst.integers(2, 4), label=k) for k in ("m1", "m2"))
+        scale = 10.0 ** data.draw(hst.floats(-6.0, 9.0), label="log10 scale")
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        state = random_pure_state(rng, d1, d2)
+        povms1 = [random_povm(rng, d1, m1) for _ in range(s1)]
+        povms2 = [random_povm(rng, d2, m2) for _ in range(s2)]
+        asm = Assemblage(site1=tuple(map(tuple, povms1)), site2=tuple(map(tuple, povms2)))
+        f = BellFunctional(
+            OutcomeSet(tuple(float(k) for k in range(m1))),
+            OutcomeSet(tuple(float(k) for k in range(m2))),
+            scale * rng.standard_normal((s1, s2, m1, m2)),
+        )
+        # Born rule on the full d1*d2 vector, one outcome pair at a time
+        psi = state.vector()
+        p = np.empty((s1, s2, m1, m2))
+        for s, t, a, b in np.ndindex(p.shape):
+            op = np.kron(povms1[s][a], povms2[t][b])
+            p[s, t, a, b] = np.vdot(psi, op @ psi).real
+        for s, t in np.ndindex(s1, s2):
+            assert_allclose(quantum_probabilities(state, asm, s, t), p[s, t],
+                            rtol=0, atol=1e-12)
+        want = float(np.sum(f.phi * p))
+        tol = 1e-12 * max(1.0, float(np.abs(f.phi).sum()))
+        assert abs(bell_value(f, state, asm) - want) <= tol
 
 
 class TestSeesaw:

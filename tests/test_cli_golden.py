@@ -1,0 +1,31 @@
+"""CLI reports stay byte-stable: stdout is compared with committed captures.
+
+The files ``golden/<case>.out`` hold the stdout of each command below; the
+state files they read are beside them.  A change to any report is a
+deliberate change to these files.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bellbound.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "violate_phi_plus": ["violate", "--functional", "chsh", "--input", "phi_plus.json"],
+    "violate_dense_2x2": ["violate", "--functional", "chsh", "--input", "dense_2x2.json"],
+    "lhv_chsh": ["lhv", "--functional", "chsh"],
+    "bound_schmidt_3": ["bound", "--input", "schmidt_3.json", "--s1", "3", "--s2", "2"],
+    "coherent_1_0.5": ["coherent", "--family", "1", "--alpha", "0.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_capture(case, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert main(CASES[case]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")

@@ -458,3 +458,21 @@ class TestJsonRoundTrip:
         del data["re"]
         with pytest.raises(ValidationError, match="re"):
             source_operator_from_json(data)
+
+    @pytest.mark.parametrize(
+        "im",
+        [[0, 0, 0, 0], [[0]], [[0], [0], [0], [0]]],
+        ids=["row", "scalar", "transposed row"],
+    )
+    def test_rejects_broadcastable_imaginary_part(self, im):
+        data = source_operator_to_json(build_source_1xs(schmidt_decompose(BELL), 1))
+        data["im"] = im
+        with pytest.raises(ValidationError, match="square and of one shape"):
+            source_operator_from_json(data)
+
+    def test_rejects_non_square_parts(self):
+        data = source_operator_to_json(build_source_1xs(schmidt_decompose(BELL), 1))
+        data["re"] = np.zeros((2, 8)).tolist()
+        data["im"] = np.zeros((8, 2)).tolist()
+        with pytest.raises(ValidationError, match="square and of one shape"):
+            source_operator_from_json(data)
