@@ -26,7 +26,8 @@ from .errors import (
 from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PureState,
                      check_hermitian, schmidt_decompose)
 
-#: Maximum number of deterministic strategy pairs enumerated exactly.
+#: Maximum work of exact enumeration: strategies enumerated times the
+#: table entries each one sums (see :func:`lhv_extrema`).
 ENUMERATION_GUARD = 10**7
 
 #: Chunk size for vectorized strategy enumeration.
@@ -245,15 +246,19 @@ def lhv_extrema(f: BellFunctional) -> LhvExtrema:
     variable polytope, so the sup/inf over them equal the sup/inf over all
     local models.  The cheaper site is enumerated; the other site's optimal
     response decomposes per setting.  Ties resolve to the first strategy in
-    lexicographic enumeration order.
+    lexicographic enumeration order.  Each of the ``min(n1, n2)`` enumerated
+    strategies sums ``s_in`` slices of an ``s_out x m_out`` table; that work,
+    not the ``n1 * n2`` strategy pairs, is held to ``ENUMERATION_GUARD``.
     """
     m1, m2 = f.outcomes1.size, f.outcomes2.size
     n1 = m1**f.s1
     n2 = m2**f.s2
-    if n1 * n2 > ENUMERATION_GUARD:
+    work = n2 * f.s2 * f.s1 * m1 if n2 <= n1 else n1 * f.s1 * f.s2 * m2
+    if work > ENUMERATION_GUARD:
         raise CapacityError(
-            f"scenario has {n1 * n2} deterministic strategy pairs, above the "
-            f"enumeration guard {ENUMERATION_GUARD}; reduce settings or outcomes"
+            f"enumerating {min(n1, n2)} deterministic strategies sums {work} table "
+            f"entries, above the enumeration guard {ENUMERATION_GUARD}; reduce "
+            f"settings or outcomes"
         )
     if n2 <= n1:
         # enumerate site 2, best-respond site 1: [s1, m1, s2, m2]
@@ -271,15 +276,6 @@ def lhv_extrema(f: BellFunctional) -> LhvExtrema:
         argmax_strategy=(sup_a, sup_b),
         argmin_strategy=(inf_a, inf_b),
     )
-
-
-def _pair_expectation(amp: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> float:
-    """tr[rho (M1 (x) M2)] for rho = |amp><amp| without forming the kron.
-
-    Only the see-saw objective calls this; Born tables of whole POVMs go
-    through :func:`_born_table`.
-    """
-    return float(np.trace(m1 @ amp @ m2.T @ amp.conj().T).real)
 
 
 def _check_compatible(
@@ -360,24 +356,34 @@ def bell_value(f: BellFunctional, state: PureState, asm: Assemblage) -> float:
     return total
 
 
-def _sign_observable(h: np.ndarray) -> np.ndarray:
-    """±1 observable maximizing tr[O h]: +1 on the nonnegative eigenspace."""
-    sym = (h + h.conj().T) / 2.0
+def _sign_observables(h: np.ndarray) -> np.ndarray:
+    """±1 observables maximizing tr[O_s h_s] for a stack of h_s.
+
+    Each O_s is +1 on the nonnegative eigenspace of h_s and -1 elsewhere;
+    one stacked ``eigh`` serves the whole stack.
+    """
+    sym = (h + h.conj().swapaxes(-1, -2)) / 2.0
     w, v = np.linalg.eigh(sym)
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    o = (v * signs) @ v.conj().T
-    return (o + o.conj().T) / 2.0
+    o = (v * np.where(w >= 0.0, 1.0, -1.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (o + o.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _multilinear_coefficients(f: BellFunctional):
-    """Split phi over ±1 outcomes into constant/marginal/correlation parts."""
-    l1 = np.array(f.outcomes1.labels)
-    l2 = np.array(f.outcomes2.labels)
-    c0 = np.einsum("stab->st", f.phi) / 4.0
-    c1 = np.einsum("stab,a->st", f.phi, l1) / 4.0
-    c2 = np.einsum("stab,b->st", f.phi, l2) / 4.0
-    c3 = np.einsum("stab,a,b->st", f.phi, l1, l2) / 4.0
-    return c0, c1, c2, c3
+def _best_response(amp, c0, row, c3, row_other, others):
+    """One site's best ±1 observables against the other's, and the objective there.
+
+    For site 1, setting s has the partial Bell operator
+    H_s = A (row[s] I + sum_t c3[s,t] O_t)^T A^H, with A the amplitude matrix
+    and O_t the site-2 observables; sign(H_s) maximizes tr[O_s H_s].  Site 2
+    is the same call with A^T and c3^T, since (A^H K A)* = A^T K^T A* for
+    Hermitian K.  Returns the stacked observables and the objective at them,
+    c0 + sum_t row_other[t] tr[O_t rho_other] + sum_s tr[O_s H_s].
+    """
+    k = row[:, None, None] * np.eye(amp.shape[1])
+    k = k + np.einsum("st,tij->sij", c3, others)
+    partial = amp @ k.swapaxes(-1, -2) @ amp.conj().T
+    ops = _sign_observables(partial)
+    fixed = np.einsum("t,tij,ji->", row_other, others, amp.T @ amp.conj())
+    return ops, c0 + float((fixed + np.einsum("sij,sji->", ops, partial)).real)
 
 
 def seesaw_maximize(
@@ -394,9 +400,10 @@ def seesaw_maximize(
     sign-split seeded Gaussian Hermitian samples; each sweep replaces every
     site-1 observable with the sign of its partial Bell operator (outcome +1
     on the nonnegative eigenspace), then symmetrically for site 2, until the
-    value improves by less than ``tol`` or ``max_iters`` sweeps pass.  The
-    best restart wins and the returned value is re-evaluated from the
-    returned assemblage.
+    value improves by less than ``tol`` or ``max_iters`` sweeps pass.  Each
+    half-sweep is one :func:`_best_response`, which also returns the value
+    at the observables it chose.  The best restart wins and the returned
+    value is re-evaluated from the returned assemblage.
 
     Returns:
         (value, assemblage) for the best run over ``restarts`` restarts.
@@ -412,58 +419,30 @@ def seesaw_maximize(
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     amp = state.amplitudes
     d1, d2 = state.d1, state.d2
-    rho1 = amp @ amp.conj().T
-    rho2 = amp.T @ amp.conj()
-    _, c1, c2, c3 = _multilinear_coefficients(f)
-    c0_total = float(np.einsum("stab->", f.phi)) / 4.0
-    row1 = c1.sum(axis=1)  # site-1 marginal weights per setting
-    row2 = c2.sum(axis=0)
-    eye1 = np.eye(d1, dtype=complex)
-    eye2 = np.eye(d2, dtype=complex)
+    # split phi over ±1 outcomes into constant, marginal and correlation parts
+    l1 = np.array(f.outcomes1.labels)
+    l2 = np.array(f.outcomes2.labels)
+    c0 = float(np.einsum("stab->", f.phi)) / 4.0
+    row1 = (np.einsum("stab,a->st", f.phi, l1) / 4.0).sum(axis=1)
+    row2 = (np.einsum("stab,b->st", f.phi, l2) / 4.0).sum(axis=0)
+    c3 = np.einsum("stab,a,b->st", f.phi, l1, l2) / 4.0
+    site1 = (amp, c0, row1, c3, row2)
+    site2 = (amp.T, c0, row2, c3.T, row1)
     # float noise in the objective grows with the weights; so does the guard
     slack = 1e-9 * float(np.abs(f.phi).sum())
-
-    def objective(ops1, ops2):
-        val = c0_total
-        val += sum(row1[s] * float(np.trace(ops1[s] @ rho1).real) for s in range(f.s1))
-        val += sum(row2[t] * float(np.trace(ops2[t] @ rho2).real) for t in range(f.s2))
-        for s in range(f.s1):
-            for t in range(f.s2):
-                if c3[s, t] != 0.0:
-                    val += c3[s, t] * _pair_expectation(amp, ops1[s], ops2[t])
-        return val
-
-    def respond_site1(ops2):
-        out = []
-        for s in range(f.s1):
-            k = row1[s] * eye2 + sum(c3[s, t] * ops2[t] for t in range(f.s2))
-            partial = amp @ k.T @ amp.conj().T
-            out.append(_sign_observable(partial))
-        return out
-
-    def respond_site2(ops1):
-        out = []
-        for t in range(f.s2):
-            k = row2[t] * eye1 + sum(c3[s, t] * ops1[s] for s in range(f.s1))
-            partial = (amp.conj().T @ k @ amp).conj()
-            out.append(_sign_observable(partial))
-        return out
 
     best_val = -math.inf
     best_ops = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        ops2 = []
-        for _ in range(f.s2):
-            g = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
-            ops2.append(_sign_observable(g))
-        ops1 = respond_site1(ops2)
-        value = objective(ops1, ops2)
+        ops2 = _sign_observables(np.array([
+            rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
+            for _ in range(f.s2)
+        ]))
+        ops1, value = _best_response(*site1, ops2)
         for _ in range(max_iters):
-            ops2 = respond_site2(ops1)
-            mid = objective(ops1, ops2)
-            ops1 = respond_site1(ops2)
-            new = objective(ops1, ops2)
+            ops2, mid = _best_response(*site2, ops1)
+            ops1, new = _best_response(*site1, ops2)
             if mid < value - slack or new < mid - slack:
                 raise RuntimeError(
                     "see-saw objective decreased; best-response update is broken"
@@ -477,8 +456,8 @@ def seesaw_maximize(
             best_ops = (ops1, ops2)
 
     ops1, ops2 = best_ops
-    l1 = f.outcomes1.labels
-    l2 = f.outcomes2.labels
+    eye1 = np.eye(d1, dtype=complex)
+    eye2 = np.eye(d2, dtype=complex)
     asm = Assemblage(
         site1=tuple(
             tuple((eye1 + lab * o) / 2.0 for lab in l1) for o in ops1

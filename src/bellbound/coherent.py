@@ -34,6 +34,11 @@ MIN_AUTO_CUTOFF = 16
 #: too, since its amplitude matrix grows with the cutoff squared.
 MAX_AUTO_CUTOFF = 1024
 
+#: Most samples :func:`bound_curve` takes; past it the request is a capacity
+#: error.  A million-step curve took about 4 s and 300 MB peak on a 2-vCPU
+#: machine, and memory grows linearly with the step count.
+MAX_CURVE_STEPS = 10**6
+
 _PLUS_FAMILIES = (1, 2)
 _MINUS_FAMILIES = (3, 4)
 
@@ -315,6 +320,10 @@ def bound_curve(
     """Violation-bound samples (alpha, bound) on a uniform alpha grid."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps!r}")
+    if steps > MAX_CURVE_STEPS:
+        raise CapacityError(
+            f"curve of {steps} steps exceeds the cap of {MAX_CURVE_STEPS} steps"
+        )
     if not (0.0 < alpha_min < alpha_max):
         raise ValueError(
             f"need 0 < alpha_min < alpha_max, got {alpha_min!r}, {alpha_max!r}"

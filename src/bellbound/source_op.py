@@ -80,6 +80,14 @@ class SourceOperator:
             # a matrix someone can still write to is copied, so the operator
             # stays frozen; the builders hand over frozen arrays they own
             m = np.array(m, dtype=complex)
+        # sizes from JSON are unbounded: compare base-2 logarithms (lower
+        # bounds by bit length) before forming a power that may take seconds
+        low_bits = sum(int(s) * (int(d).bit_length() - 1) for s, d in
+                       ((self.s1, self.d1), (self.s2, self.d2)))
+        if low_bits >= m.size.bit_length():
+            raise ValidationError(
+                f"matrix shape {m.shape} does not match d1^s1*d2^s2 > {m.size}"
+            )
         expected = self.d1**self.s1 * self.d2**self.s2
         if m.shape != (expected, expected):
             raise ValidationError(

@@ -54,6 +54,21 @@ def random_functional(rng, s1, s2, labels1=(1.0, -1.0), labels2=(1.0, -1.0),
     return BellFunctional(OutcomeSet(labels1), OutcomeSet(labels2), phi)
 
 
+def separable_functional(rng, s1, s2):
+    """Binary functional phi[s,t,a,b] = g[s,a] + h[t,b] with integer g and h.
+
+    Its classical extrema have a closed form: site 1's outcome for setting s
+    enters only g[s, .] and site 2's for t only h[t, .], so
+    b_sup = s2 * sum_s max_a g + s1 * sum_t max_b h, and b_inf likewise.
+    Returns (g, h, functional).
+    """
+    g = rng.integers(-9, 10, size=(s1, 2)).astype(float)
+    h = rng.integers(-9, 10, size=(s2, 2)).astype(float)
+    phi = g[:, None, :, None] + h[None, :, None, :]
+    labels = OutcomeSet((1.0, -1.0))
+    return g, h, BellFunctional(labels, labels, phi)
+
+
 def brute_force_extrema(f):
     """Naive double loop over all strategy pairs (independent of the library)."""
     best_sup = -math.inf

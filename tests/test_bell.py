@@ -36,6 +36,7 @@ from helpers import (
     random_povm,
     random_projective_qubit_povm,
     random_pure_state,
+    separable_functional,
 )
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
@@ -138,9 +139,18 @@ class TestLhvExtrema:
             assert ext.b_inf == pytest.approx(inf, abs=1e-12)
 
     def test_enumeration_guard(self):
-        f = random_functional(np.random.default_rng(0), 12, 12)
+        # 2^16 strategies of one site, each summing 16 slices of a 16 x 2 table
+        f = random_functional(np.random.default_rng(0), 16, 16)
         with pytest.raises(CapacityError, match="enumeration guard"):
             lhv_extrema(f)
+
+    def test_guard_counts_enumerated_strategies(self):
+        # 16.7M strategy pairs, but only 4096 strategies of one site are enumerated
+        g, h, f = separable_functional(np.random.default_rng(57), 12, 12)
+        ext = lhv_extrema(f)
+        # integer weights keep every sum exact
+        assert ext.b_sup == 12 * g.max(axis=1).sum() + 12 * h.max(axis=1).sum()
+        assert ext.b_inf == 12 * g.min(axis=1).sum() + 12 * h.min(axis=1).sum()
 
     def test_strategy_length_checked(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -287,19 +297,6 @@ class TestBellValue:
         with pytest.raises(ValueError, match="site 1 setting 0 has 2 outcomes"):
             bell_value(three, rect, asm)
 
-    def test_no_call_per_outcome_pair(self, monkeypatch):
-        # the see-saw objective is the one caller of the per-pair helper
-        import bellbound.bell as bell_module
-
-        def per_pair(*args):
-            raise AssertionError("Born values evaluated one outcome pair at a time")
-
-        monkeypatch.setattr(bell_module, "_pair_expectation", per_pair)
-        a, b = _chsh_observables()
-        asm = observable_assemblage(a, b)
-        assert bell_value(chsh_functional(), BELL, asm) == pytest.approx(2 * ROOT2)
-        assert quantum_probabilities(BELL, asm, 1, 1).shape == (2, 2)
-
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=hst.data())
     def test_matches_kron_oracle(self, data):
@@ -376,6 +373,32 @@ class TestSeesaw:
         value, asm = seesaw_maximize(scaled, BELL, restarts=3, seed=0)
         assert value == pytest.approx(2e9 * ROOT2, rel=1e-9)
         assert bell_value(scaled, BELL, asm) == pytest.approx(value, rel=1e-12)
+
+    def test_broken_response_trips_guard(self, monkeypatch):
+        # the guard compares the objective at the returned observables, so a
+        # response that picks the worst signs instead of the best is caught
+        import bellbound.bell as bell_module
+
+        best = bell_module._sign_observables
+        monkeypatch.setattr(bell_module, "_sign_observables", lambda h: -best(h))
+        with pytest.raises(RuntimeError, match="objective decreased"):
+            seesaw_maximize(chsh_functional(), BELL, restarts=1)
+
+    @pytest.mark.parametrize("s1, s2", [(3, 2), (2, 4)])
+    def test_one_eigh_per_half_sweep(self, s1, s2, monkeypatch):
+        # start, first response and two half-sweeps: one stacked eigh each,
+        # whatever the setting counts
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        f = random_functional(np.random.default_rng(7), s1, s2)
+        seesaw_maximize(f, BELL, restarts=1, max_iters=1)
+        assert len(calls) == 4
 
 
 class TestCertify:

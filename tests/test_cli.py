@@ -9,7 +9,9 @@ import pytest
 
 from bellbound import chsh_functional, source_operator_from_json
 from bellbound.cli import main
+from bellbound.coherent import MAX_CURVE_STEPS
 from bellbound.serialize import functional_to_json
+from helpers import separable_functional
 
 ROOT2 = math.sqrt(2)
 INV_ROOT2 = 1 / ROOT2
@@ -35,6 +37,15 @@ def product_file(tmp_path):
         "im": [[0.0, 0.0], [0.0, 0.0]],
     }))
     return str(path)
+
+
+@pytest.fixture
+def separable_12_file(tmp_path):
+    # binary 12 x 12: 16.7M strategy pairs, 4096 strategies enumerated
+    g, h, f = separable_functional(np.random.default_rng(57), 12, 12)
+    path = tmp_path / "separable_12.json"
+    path.write_text(json.dumps(functional_to_json(f)))
+    return str(path), 12 * g.max(axis=1).sum() + 12 * h.max(axis=1).sum()
 
 
 def run(capsys, argv):
@@ -187,6 +198,15 @@ class TestCoherentCommands:
         assert len(lines) == 11
         assert all(float(line.split(",")[1]) == 3.0 for line in lines[1:])
 
+    def test_curve_steps_capped(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [
+            "coherent-curve", "--family", "1", "--steps", str(MAX_CURVE_STEPS + 1),
+        ])
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_large_alpha_capacity_exit(self, capsys):
         code, out, err = run(capsys, ["coherent", "--family", "1", "--alpha", "30"])
         assert code == 3 and out == ""
@@ -211,6 +231,12 @@ class TestLhvCommand:
         path.write_text(json.dumps(functional_to_json(chsh_functional())))
         _, out, _ = run(capsys, ["lhv", "--functional", str(path)])
         assert json.loads(out)["b_lhv"] == 2.0
+
+    def test_twelve_binary_settings_enumerated(self, capsys, separable_12_file):
+        path, b_sup = separable_12_file
+        code, out, _ = run(capsys, ["lhv", "--functional", path])
+        assert code == 0
+        assert json.loads(out)["b_sup"] == b_sup
 
 
 class TestViolateCommand:
@@ -268,6 +294,14 @@ class TestViolateCommand:
         ])
         assert code in (0, 4) and "Traceback" not in err
         assert json.loads(out)["ratio"] == pytest.approx(ROOT2, rel=1e-9)
+
+    def test_twelve_binary_settings(self, capsys, bell_file, separable_12_file):
+        code, out, _ = run(capsys, [
+            "violate", "--functional", separable_12_file[0], "--input", bell_file,
+            "--restarts", "1", "--iters", "5",
+        ])
+        assert code == 0
+        assert json.loads(out)["certified"] is True
 
     def test_byte_identical_reruns(self, capsys, bell_file):
         argv = ["violate", "--functional", "chsh", "--input", bell_file, "--seed", "7"]

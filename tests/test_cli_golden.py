@@ -16,6 +16,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "violate_phi_plus": ["violate", "--functional", "chsh", "--input", "phi_plus.json"],
     "violate_dense_2x2": ["violate", "--functional", "chsh", "--input", "dense_2x2.json"],
+    "violate_3x2_dense_3x3": [
+        "violate", "--functional", "functional_3x2.json", "--input", "dense_3x3.json"
+    ],
     "lhv_chsh": ["lhv", "--functional", "chsh"],
     "bound_schmidt_3": ["bound", "--input", "schmidt_3.json", "--s1", "3", "--s2", "2"],
     "coherent_1_0.5": ["coherent", "--family", "1", "--alpha", "0.5"],

@@ -1,6 +1,7 @@
 """Source-operator construction, dilation checks, and trace norms."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -469,6 +470,13 @@ class TestJsonRoundTrip:
         data["im"] = im
         with pytest.raises(ValidationError, match="square and of one shape"):
             source_operator_from_json(data)
+
+    def test_refuses_absurd_sizes_at_once(self):
+        data = {"s1": 10**6, "d1": 1000, "s2": 1, "d2": 1, "re": [[1.0]], "im": [[0.0]]}
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"does not match d1\^s1\*d2\^s2 > 1"):
+            source_operator_from_json(data)
+        assert time.perf_counter() - start < 0.1
 
     def test_rejects_non_square_parts(self):
         data = source_operator_to_json(build_source_1xs(schmidt_decompose(BELL), 1))
