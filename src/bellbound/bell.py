@@ -23,8 +23,8 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PureState,
-                     check_hermitian, schmidt_decompose)
+from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PSD_ATOL,
+                     PureState, check_hermitian, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -100,9 +100,90 @@ def chsh_functional() -> BellFunctional:
     return BellFunctional(OutcomeSet(labels), OutcomeSet(labels), phi)
 
 
+#: Shift of the Cholesky PSD certificate in :func:`_certified_psd_stack`.
+_PSD_SHIFT = PSD_ATOL / 2.0
+
+#: Unit roundoff of double-precision arithmetic.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def _certified_psd_stack(povm, dim: int | None) -> np.ndarray | None:
+    """One setting's elements as a read-only (m, n, n) stack, if all are certified.
+
+    Returns None unless every element is a finite n x n matrix (n = ``dim``
+    when given) with asymmetry at most ``HERM_ATOL_POVM`` whose Hermitian part
+    H one stacked Cholesky certifies to have lambda_min(H) >= -PSD_ATOL.  On
+    None the caller validates element by element, which raises the first
+    failure, so this function changes neither verdicts nor messages.
+
+    Certificate: if Cholesky of A = H + (PSD_ATOL/2) I runs to completion,
+    the computed factor R has R^H R = A + dA with |dA| <= g |R^H| |R|,
+    g = gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u the unit roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3; its
+    proof needs only that the factorization completes).  As
+    || |R^H| |R| ||_2 <= n ||R^H R||_2, ||dA||_2 <= n g / (1 - n g) ||A||_2,
+    which is at most 2 n(n+1) u ||A||_2; the factor 2 also covers complex
+    arithmetic.  R^H R is PSD, so lambda_min(H) >= -PSD_ATOL/2 - ||dA||_2.
+    The gate bounds ||A||_2 <= ||H||_F + PSD_ATOL/2 <= ||E||_F + PSD_ATOL/2
+    for each element E and asks 2 n(n+1) u times that to be at most
+    PSD_ATOL/2, so a completed factorization proves lambda_min(H) >=
+    -PSD_ATOL.  The gate is needed because the sum-to-identity check, which
+    bounds the norms, comes after this one.  Valid POVMs pass it up to about
+    n = 128.
+    """
+    try:
+        stack = np.stack([np.asarray(e, dtype=complex) for e in povm])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        return None
+    n = stack.shape[1]
+    if n < 1 or (dim is not None and n != dim):
+        return None
+    adjoint = stack.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: the fallback reports it
+        gap = np.max(np.abs(stack - adjoint))  # NaN or inf for a non-finite entry
+    if not gap <= HERM_ATOL_POVM:
+        return None
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    backward_error = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (norms + _PSD_SHIFT)
+    if not np.all(backward_error <= _PSD_SHIFT):
+        return None
+    herm = stack if gap == 0.0 else (stack + adjoint) / 2.0
+    try:
+        np.linalg.cholesky(herm + _PSD_SHIFT * np.eye(n))
+    except np.linalg.LinAlgError:
+        return None
+    stack.setflags(write=False)
+    return stack
+
+
+def _checked_elements(povm, where: str, dim: int | None) -> list[np.ndarray]:
+    """One setting's elements validated one at a time, each with ``eigvalsh``."""
+    elements = []
+    for a, element in enumerate(povm):
+        m = np.array(element, dtype=complex)
+        what = f"{where} element {a}"
+        check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
+        if dim is None:
+            dim = m.shape[0]
+        elif m.shape[0] != dim:
+            raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
+        m.setflags(write=False)
+        elements.append(m)
+    return elements
+
+
 @dataclass(frozen=True)
 class Assemblage:
-    """Per-site, per-setting POVMs compatible with a (d1, d2) state."""
+    """Per-site, per-setting POVMs compatible with a (d1, d2) state.
+
+    Each setting is validated as one stack: one asymmetry scan, one norm
+    gate and one Cholesky certificate (:func:`_certified_psd_stack`), and
+    its elements are read-only views of that stack.  A setting the
+    certificate does not cover is validated element by element with
+    ``eigvalsh``.
+    """
 
     site1: tuple[tuple[np.ndarray, ...], ...]
     site2: tuple[tuple[np.ndarray, ...], ...]
@@ -119,19 +200,12 @@ class Assemblage:
                     raise ValidationError(
                         f"site {site_no} setting {s}: POVM needs >= 2 elements"
                     )
-                elements = []
-                for a, element in enumerate(povm):
-                    m = np.array(element, dtype=complex)
-                    what = f"site {site_no} setting {s} element {a}"
-                    check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
-                    if dim is None:
-                        dim = m.shape[0]
-                    elif m.shape[0] != dim:
-                        raise ValidationError(
-                            f"{what}: dimension {m.shape[0]} differs from {dim}"
-                        )
-                    m.setflags(write=False)
-                    elements.append(m)
+                stack = _certified_psd_stack(povm, dim)
+                if stack is None:
+                    elements = _checked_elements(povm, f"site {site_no} setting {s}", dim)
+                else:
+                    elements = list(stack)
+                dim = elements[0].shape[0]
                 total = sum(elements)
                 dev = float(np.max(np.abs(total - np.eye(dim))))
                 if dev > POVM_SUM_ATOL:
@@ -204,39 +278,50 @@ def _enumerate_extrema(phi: np.ndarray):
     """Extrema over deterministic strategies of a (s_out, m_out, s_in, m_in) tensor.
 
     Enumerates assignments of the *last* two axes (the "inner" site) in
-    chunks; for each, the outer site's best responses are independent per
-    setting.  Returns (sup, sup_inner, sup_outer, inf, inf_inner, inf_outer).
+    lexicographic order; for each, the outer site's best responses are
+    independent per setting.  Tables are built one inner setting at a time:
+    appending setting t to every row so far is one broadcast addition, so
+    m^k strategies cost about m/(m-1) * m^k row additions, not k * m^k.  When
+    m_in^s_in exceeds ``_CHUNK``, leading settings are fixed in turn and each
+    block enumerates the rest.  Every row still adds its slices from setting
+    0 upwards, so each strategy's sums are those of summing it alone.
+    Returns (sup, sup_inner, sup_outer, inf, inf_inner, inf_outer).
     """
     s_out, m_out, s_in, m_in = phi.shape
-    # phi indexed [outer setting, outer outcome, inner setting, inner outcome]
-    per_inner = phi.transpose(2, 3, 0, 1)  # [s_in, m_in, s_out, m_out]
+    # [s_in, m_in, s_out, m_out] in C order: every table below is then
+    # C-ordered and reduces in one fixed order
+    per_inner = np.ascontiguousarray(phi.transpose(2, 3, 0, 1))
+    free = s_in
+    while free > 1 and m_in**free > _CHUNK:
+        free -= 1
     best_sup = -math.inf
     best_inf = math.inf
     sup_inner = inf_inner = None
     sup_outer = inf_outer = None
-    assignments = itertools.product(range(m_in), repeat=s_in)
-    while True:
-        chunk = list(itertools.islice(assignments, _CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)  # (n, s_in)
-        # Sum the inner site's chosen slices: (n, s_out, m_out)
-        tables = per_inner[0, idx[:, 0]]
-        for t in range(1, s_in):
-            tables = tables + per_inner[t, idx[:, t]]
+    for prefix in itertools.product(range(m_in), repeat=s_in - free):
+        slices = [per_inner[t, v:v + 1] for t, v in enumerate(prefix)]
+        slices.extend(per_inner[s_in - free:])
+        tables = slices[0]
+        for rows in slices[1:]:
+            tables = (tables[:, None] + rows).reshape(-1, s_out, m_out)
         sups = tables.max(axis=2).sum(axis=1)
         infs = tables.min(axis=2).sum(axis=1)
         k = int(np.argmax(sups))
         if sups[k] > best_sup:
             best_sup = float(sups[k])
-            sup_inner = tuple(int(v) for v in chunk[k])
+            sup_inner = prefix + _digits(k, m_in, free)
             sup_outer = tuple(int(v) for v in tables[k].argmax(axis=1))
         k = int(np.argmin(infs))
         if infs[k] < best_inf:
             best_inf = float(infs[k])
-            inf_inner = tuple(int(v) for v in chunk[k])
+            inf_inner = prefix + _digits(k, m_in, free)
             inf_outer = tuple(int(v) for v in tables[k].argmin(axis=1))
     return best_sup, sup_inner, sup_outer, best_inf, inf_inner, inf_outer
+
+
+def _digits(k: int, base: int, width: int) -> tuple[int, ...]:
+    """``k`` as ``width`` digits in ``base``, most significant first."""
+    return tuple(int(v) for v in np.unravel_index(k, (base,) * width))
 
 
 def lhv_extrema(f: BellFunctional) -> LhvExtrema:
@@ -476,7 +561,8 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     checks it against the lesser of the Schmidt-coefficient bound and the
     dimension bound (slack 1e-6).  Also reports the interval that must
     contain every quantum value of the functional and whether ``value`` lies
-    inside it (1e-9 float slack).
+    inside it, with a float slack of ``1e-9 * max(1, sum |phi|)``, the scale
+    of the see-saw's guard.
     """
     ext = lhv_extrema(f)
     if abs(ext.b_lhv) < LHV_ZERO_ATOL:
@@ -489,6 +575,7 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     b_dim = dimension_settings_bound(state.d1, state.d2, f.s1, f.s2)
     ratio = abs(value) / ext.b_lhv
     lo, hi = quantum_band(ext.b_sup, ext.b_inf, b_schmidt)
+    slack = 1e-9 * max(1.0, float(np.abs(f.phi).sum()))
     return ViolationReport(
         quantum_value=float(value),
         b_lhv=ext.b_lhv,
@@ -497,5 +584,5 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
         bound_dimension_settings=b_dim,
         certified=bool(ratio <= min(b_schmidt, b_dim) + CERTIFY_ATOL),
         band=(lo, hi),
-        value_in_band=bool(lo - 1e-9 <= value <= hi + 1e-9),
+        value_in_band=bool(lo - slack <= value <= hi + slack),
     )

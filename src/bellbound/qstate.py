@@ -261,9 +261,11 @@ def schmidt_sum_squared(schmidt: SchmidtData) -> float:
     """Squared sum of Schmidt coefficients, (sum_k sqrt(lambda_k))^2.
 
     Equals 1 exactly for product states and the Schmidt rank exactly for
-    maximally entangled states; always lies in [1, rank].
+    maximally entangled states; always lies in [1, rank].  Rounding can put
+    the computed square a few ulps outside that interval (a product state's
+    one coefficient is a computed norm), so it is clamped into it.
     """
-    return float(np.sum(schmidt.coefficients)) ** 2
+    return min(max(1.0, float(np.sum(schmidt.coefficients)) ** 2), float(schmidt.rank))
 
 
 def bell_like_state(v1: np.ndarray, v2: np.ndarray, j: int, k: int) -> PureState:

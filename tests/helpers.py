@@ -84,6 +84,92 @@ def brute_force_extrema(f):
     return best_sup, best_inf
 
 
+def brute_force_enumeration(phi):
+    """Extrema of a (s_out, m_out, s_in, m_in) tensor over all strategy pairs.
+
+    Plain loops, the inner site's strategies in the outer loop and the outer
+    site's in the inner loop, each in lexicographic order; the first pair
+    reaching an extremum is its witness.  A pair's value adds, for each outer
+    setting, its weights over the inner settings from left to right, then
+    adds those per-setting sums with ``np.sum``: the order of
+    ``_enumerate_extrema``, so extrema compare bit for bit.  Returns
+    (sup, sup_inner, sup_outer, inf, inf_inner, inf_outer).
+    """
+    s_out, m_out, s_in, m_in = phi.shape
+    best = [-math.inf, None, None, math.inf, None, None]
+    for inner in itertools.product(range(m_in), repeat=s_in):
+        for outer in itertools.product(range(m_out), repeat=s_out):
+            rows = []
+            for s in range(s_out):
+                total = phi[s, outer[s], 0, inner[0]]
+                for t in range(1, s_in):
+                    total = total + phi[s, outer[s], t, inner[t]]
+                rows.append(total)
+            value = float(np.sum(np.array(rows)))
+            if value > best[0]:
+                best[:3] = value, inner, outer
+            if value < best[3]:
+                best[3:] = value, inner, outer
+    return tuple(best)
+
+
+def brute_force_lhv(f):
+    """(b_sup, argmax, b_inf, argmin) of a functional over all n1*n2 strategy pairs.
+
+    Like ``lhv_extrema``, the site with fewer strategies (site 2 on a tie)
+    is the inner site of :func:`brute_force_enumeration`.
+    """
+    if f.outcomes2.size**f.s2 <= f.outcomes1.size**f.s1:
+        sup, b_max, a_max, inf, b_min, a_min = brute_force_enumeration(
+            f.phi.transpose(0, 2, 1, 3))
+    else:
+        sup, a_max, b_max, inf, a_min, b_min = brute_force_enumeration(
+            f.phi.transpose(1, 3, 0, 2))
+    return sup, (a_max, b_max), inf, (a_min, b_min)
+
+
+def reference_assemblage(site1, site2):
+    """Per-element POVM validation, one ``eigvalsh`` per element.
+
+    The loop ``Assemblage`` ran before settings were validated as stacks;
+    returns the validated sites as tuples of read-only arrays, or raises the
+    first failure with the same message.
+    """
+    from bellbound import ValidationError
+    from bellbound.qstate import HERM_ATOL_POVM, POVM_SUM_ATOL, check_hermitian
+
+    frozen = []
+    for site_no, povms in ((1, site1), (2, site2)):
+        if len(povms) < 1:
+            raise ValidationError(f"site {site_no} needs at least one POVM")
+        dim = None
+        site_out = []
+        for s, povm in enumerate(povms):
+            if len(povm) < 2:
+                raise ValidationError(f"site {site_no} setting {s}: POVM needs >= 2 elements")
+            elements = []
+            for a, element in enumerate(povm):
+                m = np.array(element, dtype=complex)
+                what = f"site {site_no} setting {s} element {a}"
+                check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
+                if dim is None:
+                    dim = m.shape[0]
+                elif m.shape[0] != dim:
+                    raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
+                m.setflags(write=False)
+                elements.append(m)
+            total = sum(elements)
+            dev = float(np.max(np.abs(total - np.eye(dim))))
+            if dev > POVM_SUM_ATOL:
+                raise ValidationError(
+                    f"site {site_no} setting {s}: POVM elements do not sum to "
+                    f"identity (max deviation {dev:.3e})"
+                )
+            site_out.append(tuple(elements))
+        frozen.append(tuple(site_out))
+    return tuple(frozen)
+
+
 def chsh_max_two_qubit(state):
     """Largest CHSH value of a two-qubit pure state (correlation-matrix form).
 

@@ -1,6 +1,7 @@
 """Classical extrema, quantum values, see-saw search, and certification."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,16 +27,22 @@ from bellbound import (
     seesaw_maximize,
     strategy_value,
 )
+import bellbound.bell as bell_module
+from bellbound.qstate import PSD_ATOL
 from helpers import (
     PAULI_X,
     PAULI_Z,
+    brute_force_enumeration,
     brute_force_extrema,
+    brute_force_lhv,
     chsh_max_two_qubit,
     observable_assemblage,
     random_functional,
     random_povm,
     random_projective_qubit_povm,
     random_pure_state,
+    random_unit_vector,
+    reference_assemblage,
     separable_functional,
 )
 
@@ -152,6 +159,47 @@ class TestLhvExtrema:
         assert ext.b_sup == 12 * g.max(axis=1).sum() + 12 * h.max(axis=1).sum()
         assert ext.b_inf == 12 * g.min(axis=1).sum() + 12 * h.min(axis=1).sum()
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_matches_pair_enumeration_bitwise(self, data):
+        # brute force over every strategy pair sums in the library's order,
+        # so extrema and first witnesses must agree exactly; small chunks
+        # force the loop over leading settings
+        s1, s2, m1, m2 = data.draw(hst.sampled_from(
+            [(2, 2, 2, 2), (3, 2, 2, 3), (9, 2, 2, 2), (2, 9, 2, 2), (9, 2, 2, 3),
+             (4, 3, 3, 3), (2, 5, 2, 3), (1, 3, 4, 2)]), label="shape")
+        integer = data.draw(hst.booleans(), label="integer weights")
+        scale = 10.0 ** data.draw(hst.sampled_from([-6, 0, 3, 7, 9]), label="log10 scale")
+        chunk = data.draw(hst.sampled_from([1, 5, 16, bell_module._CHUNK]), label="chunk")
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        shape = (s1, s2, m1, m2)
+        # integer weights in -2..2 tie often
+        phi = rng.integers(-2, 3, size=shape) if integer else rng.standard_normal(shape)
+        f = BellFunctional(OutcomeSet(tuple(float(k) for k in range(m1))),
+                           OutcomeSet(tuple(float(k) for k in range(m2))), scale * phi)
+        with mock.patch.object(bell_module, "_CHUNK", chunk):
+            ext = lhv_extrema(f)
+        got = (ext.b_sup, ext.argmax_strategy, ext.b_inf, ext.argmin_strategy)
+        assert got == brute_force_lhv(f)
+
+    def test_multi_chunk_enumeration_bitwise(self):
+        # 3^9 inner strategies exceed the chunk: three blocks of 3^8 rows
+        phi = 1e7 * np.random.default_rng(89).standard_normal((1, 3, 9, 3))
+        assert 3**9 > bell_module._CHUNK
+        assert bell_module._enumerate_extrema(phi) == brute_force_enumeration(phi)
+
+    @pytest.mark.parametrize("s1", [9, 10])
+    def test_chunking_does_not_change_results(self, s1):
+        # 3 outcomes, s1 x 9 settings: 3^9 strategies of site 2 in blocks, and
+        # in one block when the chunk is raised
+        f = random_functional(np.random.default_rng(s1), s1, 9, (0.0, 1.0, 2.0),
+                              (0.0, 1.0, 2.0), integer_valued=True)
+        ext = lhv_extrema(f)
+        with mock.patch.object(bell_module, "_CHUNK", 3**9):
+            assert lhv_extrema(f) == ext
+        assert strategy_value(f, *ext.argmax_strategy) == ext.b_sup
+        assert strategy_value(f, *ext.argmin_strategy) == ext.b_inf
+
     def test_strategy_length_checked(self):
         with pytest.raises(ValueError, match="lengths"):
             strategy_value(chsh_functional(), (0,), (0, 0))
@@ -224,7 +272,162 @@ class TestQuantumProbabilities:
             quantum_probabilities(BELL, asm, 1, 0)
 
 
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _povm_with_min_eigenvalue(rng, d, m, lam):
+    """POVM of m elements in one random eigenbasis; element 0 has eigenvalue lam."""
+    u = _unitary(rng, d)
+    first = np.concatenate([[lam], rng.uniform(0.1, 0.5, d - 1)])
+    shares = rng.dirichlet(np.ones(m - 1), size=d).T * (1.0 - first)
+    return [(u * w) @ u.conj().T for w in np.vstack([first, shares])]
+
+
+def _projective_povm(rng, d, m):
+    """Rank-deficient projectors on a random basis; some may be zero."""
+    u = _unitary(rng, d)
+    owner = rng.integers(m, size=d)
+    return [(u * (owner == a)) @ u.conj().T for a in range(m)]
+
+
+#: Settings of the Assemblage deck: valid kinds first and weighted, so that
+#: whole decks are often accepted, then the spoiled kinds.
+_SETTING_KINDS = 3 * ("wishart", "projectors", "eigenvalue") + (
+    "asymmetry", "nan", "inf", "over_gate", "ragged", "other_dim")
+
+
+def _assemblage_setting(data, rng, d):
+    """One setting of the Assemblage deck: a valid POVM or a spoiled one."""
+    kind = data.draw(hst.sampled_from(_SETTING_KINDS), label="kind")
+    m = data.draw(hst.integers(2, 3), label="outcomes")
+    if kind == "projectors":
+        return _projective_povm(rng, d, m)
+    if kind == "eigenvalue":
+        factor = data.draw(hst.sampled_from([-1.1, -0.9, -0.5, 0.5, 0.9, 1.1]), label="x")
+        return _povm_with_min_eigenvalue(rng, d, m, factor * PSD_ATOL)
+    if kind == "other_dim":
+        # another dimension, valid or with a non-PSD element first or last
+        where = data.draw(hst.sampled_from(["none", "first", "last"]), label="non-PSD")
+        povm = _povm_with_min_eigenvalue(rng, d + 1, m, 0.1 if where == "none" else -1e-3)
+        return povm[::-1] if where == "last" else povm
+    povm = random_povm(rng, d, m)
+    a = data.draw(hst.integers(0, m - 1), label="element")
+    i, j = (1, 0) if d > 1 else (0, 0)
+    if kind == "asymmetry":
+        gap = data.draw(hst.sampled_from([0.0, 1e-11, 2e-10]), label="gap")
+        povm[a][i, j] += gap if d > 1 else 0.5j * gap
+    elif kind in ("nan", "inf"):
+        povm[a][i, j] = math.nan if kind == "nan" else math.inf
+    elif kind == "over_gate":
+        povm[a] = 1e6 * povm[a]
+    elif kind == "ragged":
+        povm[a] = np.eye(d + 1) / m
+    return povm
+
+
+def _validated_or_error(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestAssemblageValidation:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_matches_per_element_reference(self, data):
+        # same verdict, same first message and the same arrays as one
+        # eigvalsh per element
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        sites = []
+        for site in ("site 1", "site 2"):
+            d = data.draw(hst.integers(1, 4), label=f"{site} dimension")
+            n = data.draw(hst.integers(1, 3), label=f"{site} settings")
+            sites.append(tuple(tuple(_assemblage_setting(data, rng, d)) for _ in range(n)))
+        want = _validated_or_error(lambda: reference_assemblage(*sites))
+        got = _validated_or_error(lambda: Assemblage(*sites))
+        if isinstance(want, str):
+            assert got == want
+            return
+        got = (got.site1, got.site2)
+        assert [[len(p) for p in site] for site in got] == [[len(p) for p in site] for site in want]
+        for site_got, site_want in zip(got, want):
+            for povm_got, povm_want in zip(site_got, site_want):
+                for e_got, e_want in zip(povm_got, povm_want):
+                    assert np.array_equal(e_got, e_want)
+                    assert not e_got.flags.writeable
+
+    @staticmethod
+    def _count_lapack(monkeypatch):
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 32, 96])
+    def test_one_cholesky_per_setting(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        site1 = tuple(tuple(random_povm(rng, d, 3)) for _ in range(2))
+        site2 = tuple(tuple(random_povm(rng, d, 2)) for _ in range(3))
+        calls = self._count_lapack(monkeypatch)
+        asm = Assemblage(site1, site2)
+        assert calls == {"cholesky": 5, "eigvalsh": 0}
+        # each setting's elements are read-only views of one stack
+        for povm in asm.site1 + asm.site2:
+            assert all(e.base is povm[0].base for e in povm)
+            assert not povm[0].base.flags.writeable
+
+    def test_uncertified_setting_falls_back(self, monkeypatch):
+        # lambda_min = -0.9 PSD_ATOL: the shifted Cholesky fails, eigvalsh accepts
+        rng = np.random.default_rng(101)
+        edge = tuple(_povm_with_min_eigenvalue(rng, 4, 3, -0.9 * PSD_ATOL))
+        valid = tuple(random_povm(rng, 4, 2))
+        calls = self._count_lapack(monkeypatch)
+        Assemblage(site1=(valid, edge), site2=(valid,))
+        assert calls == {"cholesky": 3, "eigvalsh": 3}
+
+    def test_norm_gate_falls_back(self, monkeypatch):
+        # at d = 200 the Cholesky error bound of a valid two-outcome POVM
+        # exceeds the shift, so the setting is checked element by element
+        povm = tuple(_projective_povm(np.random.default_rng(103), 200, 2))
+        calls = self._count_lapack(monkeypatch)
+        Assemblage(site1=(povm,), site2=((np.eye(1), np.zeros((1, 1))),))
+        assert calls == {"cholesky": 1, "eigvalsh": 2}
+
+    def test_later_setting_of_other_dimension(self):
+        valid2 = (np.eye(2) / 2, np.eye(2) / 2)
+        valid3 = (np.eye(3) / 2, np.eye(3) / 2)
+        with pytest.raises(ValidationError,
+                           match="site 2 setting 1 element 0: dimension 3 differs from 2"):
+            Assemblage(site1=(valid2,), site2=(valid2, valid3))
+
+    def test_asymmetric_element_certified_on_its_hermitian_part(self):
+        # m = -2g (strict upper ones): asymmetry 2g passes, but its Hermitian
+        # part -g (J - I) has lambda_min = -3g < -PSD_ATOL although the lower
+        # triangle alone (zero) is PSD
+        g = 4.5e-11
+        m = -2 * g * np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(ValidationError, match="element 0 is not positive semidefinite"):
+            Assemblage(site1=((m, np.eye(4) - m),), site2=((np.eye(1), np.zeros((1, 1))),))
+
+    @pytest.mark.parametrize("factor", [-1.1, -0.9, -0.5, 0.5, 0.9, 1.1])
+    def test_psd_tolerance_edge(self, factor):
+        povm = _povm_with_min_eigenvalue(np.random.default_rng(97), 4, 3, factor * PSD_ATOL)
+        good = (np.eye(4) / 2, np.eye(4) / 2)
+        if factor < -1.0:
+            with pytest.raises(ValidationError, match="site 1 setting 0 element 0 is not pos"):
+                Assemblage(site1=(tuple(povm),), site2=(good,))
+        else:
+            Assemblage(site1=(tuple(povm),), site2=(good,))
+
     def test_not_summing_to_identity(self):
         bad = (np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))
         good = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -377,8 +580,6 @@ class TestSeesaw:
     def test_broken_response_trips_guard(self, monkeypatch):
         # the guard compares the objective at the returned observables, so a
         # response that picks the worst signs instead of the best is caught
-        import bellbound.bell as bell_module
-
         best = bell_module._sign_observables
         monkeypatch.setattr(bell_module, "_sign_observables", lambda h: -best(h))
         with pytest.raises(RuntimeError, match="objective decreased"):
@@ -422,6 +623,40 @@ class TestCertify:
         rep = certify(chsh_functional(), PRODUCT, 2.0)
         assert rep.ratio == pytest.approx(1.0)
         assert rep.certified
+
+    def test_product_states_band_is_classical(self):
+        # the rank-1 Schmidt sum can round below 1; clamped, the band of a
+        # product state is exactly the classical interval
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            d1, d2, s1, s2 = (int(v) for v in rng.integers(1, [5, 5, 4, 4]))
+            st = PureState(np.outer(random_unit_vector(rng, d1), random_unit_vector(rng, d2)))
+            f = random_functional(rng, s1, s2)
+            ext = lhv_extrema(f)
+            rep = certify(f, st, ext.b_sup)
+            assert rep.bound_schmidt_settings == 1.0
+            assert rep.band == (ext.b_inf, ext.b_sup)
+            assert rep.value_in_band
+
+    def test_band_slack_scales_with_weights(self):
+        f = chsh_functional()
+        for scale in (1e-3, 1.0, 1e6, 1e9):
+            scaled = BellFunctional(f.outcomes1, f.outcomes2, scale * f.phi)
+            slack = 1e-9 * max(1.0, 16 * scale)
+            assert certify(scaled, PRODUCT, 2 * scale + 0.5 * slack).value_in_band
+            assert not certify(scaled, PRODUCT, 2 * scale + 2 * slack).value_in_band
+
+    def test_product_state_seesaw_values_in_band(self):
+        # at weights 1e6 to 1e9 the see-saw's classical maximum can exceed
+        # b_sup by more than an absolute 1e-9
+        rng = np.random.default_rng(109)
+        for k in range(20):
+            d1, d2 = (int(v) for v in rng.integers(1, 5, size=2))
+            st = PureState(np.outer(random_unit_vector(rng, d1), random_unit_vector(rng, d2)))
+            g = random_functional(rng, 2, 2)
+            f = BellFunctional(g.outcomes1, g.outcomes2, 10 ** rng.uniform(6, 9) * g.phi)
+            value, _ = seesaw_maximize(f, st, restarts=2, max_iters=50, seed=k)
+            assert certify(f, st, value).value_in_band
 
     def test_degenerate_functional(self):
         f = _correlation_functional(np.zeros((2, 2)))

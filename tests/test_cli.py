@@ -283,6 +283,23 @@ class TestViolateCommand:
         assert report["quantum_value"] == pytest.approx(2.0, abs=1e-9)
         assert report["ratio"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_dense_1x3_product_state(self, capsys, tmp_path):
+        # its one Schmidt coefficient squared rounds to 0.9999999999999991
+        path = tmp_path / "product_1x3.json"
+        path.write_text(json.dumps({
+            "type": "dense", "d1": 1, "d2": 3,
+            "re": [[0.213821062365626, 0.5415341579503739, -0.06676701947407294]],
+            "im": [[0.7098092070315012, -0.3455351007829286, 0.18259205325699712]],
+        }))
+        code, out, err = run(capsys, [
+            "violate", "--functional", "chsh", "--input", str(path), "--restarts", "2",
+        ])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["bound_schmidt_settings"] == 1.0
+        assert report["band"] == [-2.0, 2.0]
+        assert report["value_in_band"] is True
+
     def test_scaled_functional_searches_without_traceback(self, capsys, tmp_path, bell_file):
         f = chsh_functional()
         path = tmp_path / "chsh_1e9.json"

@@ -6,12 +6,15 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bellbound import ValidationError, source_operator_from_json
 from bellbound.cli import main
 
 #: What a mangled field is replaced with: wrong types, null, non-finite and
@@ -29,13 +32,18 @@ def _normalized(values):
 
 
 @st.composite
+def dense_states(draw):
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = _normalized(draw(st.lists(_reals, min_size=2 * d1 * d2, max_size=2 * d1 * d2)))
+    re, im = np.reshape(parts, (2, d1, d2)).tolist()
+    return {"type": "dense", "d1": d1, "d2": d2, "re": re, "im": im}
+
+
+@st.composite
 def states(draw):
     kind = draw(st.sampled_from(["dense", "schmidt", "coherent"]))
     if kind == "dense":
-        d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        parts = _normalized(draw(st.lists(_reals, min_size=2 * d1 * d2, max_size=2 * d1 * d2)))
-        re, im = np.reshape(parts, (2, d1, d2)).tolist()
-        return {"type": "dense", "d1": d1, "d2": d2, "re": re, "im": im}
+        return draw(dense_states())
     if kind == "schmidt":
         coeffs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
         return {"type": "schmidt", "coefficients": _normalized(coeffs)}
@@ -117,3 +125,60 @@ def test_cli_survives_random_files(state, functional):
                 json.loads(out)
             else:
                 assert err.startswith("error:"), (argv, err)
+
+
+#: Copy counts and dimensions far beyond any operator a file could hold.
+HUGE_SIZES = [10**6, 10**9, 2**63, 10**30, 10**400]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(state=dense_states(), key=st.sampled_from(["s1", "s2", "d1", "d2"]),
+       size=st.sampled_from(HUGE_SIZES))
+def test_source_op_export_with_huge_sizes_refused_at_once(state, key, size):
+    # no command reads an export back: the library reader must refuse it, and
+    # every command that reads a file must end in exit 2, both at once
+    with tempfile.TemporaryDirectory() as tmp:
+        state_path, op_path = str(Path(tmp, "state.json")), Path(tmp, "op.json")
+        Path(state_path).write_text(json.dumps(state))
+        code, _, _ = _run(["source-op", "--input", state_path, "--s2", "1",
+                           "--export", str(op_path)])
+        assume(code == 0)  # a zero amplitude vector is no state
+        export = json.loads(op_path.read_text())
+        assume(key[0] == "d" or export["d" + key[1]] > 1)  # 1^s is 1 for any s
+        export[key] = size
+        op_path.write_text(json.dumps(export))
+        op = str(op_path)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            source_operator_from_json(json.loads(op_path.read_text()))
+        for argv in (
+            ["schmidt", "--input", op],
+            ["bound", "--input", op, "--s1", "2", "--s2", "2"],
+            ["source-op", "--input", op, "--s2", "1"],
+            ["lhv", "--functional", op],
+            ["violate", "--functional", op, "--input", state_path],
+        ):
+            code, _, err = _run(argv)
+            assert code == 2 and err.startswith("error:"), (argv, err)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s1, s2, code", [(14, 14, 0), (14, 16, 0), (15, 15, 3), (16, 16, 3)])
+def test_lhv_on_both_sides_of_the_enumeration_guard(s1, s2, code, tmp_path):
+    # binary 14 x 14 enumerates 2^14 strategies (6.4M table entries, under
+    # the 1e7 guard); 15 x 15 and 16 x 16 are refused before enumerating
+    phi = np.random.default_rng(s1 * s2).standard_normal((s1, s2, 2, 2))
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps({"s1": s1, "s2": s2, "outcomes1": [1, -1],
+                                "outcomes2": [1, -1], "phi": phi.tolist()}))
+    start = time.perf_counter()
+    got, out, err = _run(["lhv", "--functional", str(path)])
+    assert got == code
+    if code == 0:
+        report = json.loads(out)
+        assert report["b_inf"] <= report["b_sup"]
+        assert len(report["argmax_strategy"]["site1"]) == s1
+        assert len(report["argmax_strategy"]["site2"]) == s2
+    else:
+        assert err.startswith("error:") and "enumeration guard" in err
+        assert time.perf_counter() - start < 1.0
