@@ -23,8 +23,8 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PSD_ATOL,
-                     PureState, check_hermitian, schmidt_decompose)
+from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PureState,
+                     check_hermitian, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -100,74 +100,29 @@ def chsh_functional() -> BellFunctional:
     return BellFunctional(OutcomeSet(labels), OutcomeSet(labels), phi)
 
 
-#: Shift of the Cholesky PSD certificate in :func:`_certified_psd_stack`.
-_PSD_SHIFT = PSD_ATOL / 2.0
+def _validated_setting(povm, where: str, dim: int | None) -> list[np.ndarray]:
+    """One setting's elements, validated and read-only; ``dim`` is the site's, if known.
 
-#: Unit roundoff of double-precision arithmetic.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-
-
-def _certified_psd_stack(povm, dim: int | None) -> np.ndarray | None:
-    """One setting's elements as a read-only (m, n, n) stack, if all are certified.
-
-    Returns None unless every element is a finite n x n matrix (n = ``dim``
-    when given) with asymmetry at most ``HERM_ATOL_POVM`` whose Hermitian part
-    H one stacked Cholesky certifies to have lambda_min(H) >= -PSD_ATOL.  On
-    None the caller validates element by element, which raises the first
-    failure, so this function changes neither verdicts nor messages.
-
-    Certificate: if Cholesky of A = H + (PSD_ATOL/2) I runs to completion,
-    the computed factor R has R^H R = A + dA with |dA| <= g |R^H| |R|,
-    g = gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u the unit roundoff (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3; its
-    proof needs only that the factorization completes).  As
-    || |R^H| |R| ||_2 <= n ||R^H R||_2, ||dA||_2 <= n g / (1 - n g) ||A||_2,
-    which is at most 2 n(n+1) u ||A||_2; the factor 2 also covers complex
-    arithmetic.  R^H R is PSD, so lambda_min(H) >= -PSD_ATOL/2 - ||dA||_2.
-    The gate bounds ||A||_2 <= ||H||_F + PSD_ATOL/2 <= ||E||_F + PSD_ATOL/2
-    for each element E and asks 2 n(n+1) u times that to be at most
-    PSD_ATOL/2, so a completed factorization proves lambda_min(H) >=
-    -PSD_ATOL.  The gate is needed because the sum-to-identity check, which
-    bounds the norms, comes after this one.  Valid POVMs pass it up to about
-    n = 128.
+    A ragged setting, or one of another dimension, is checked element by element.
     """
     try:
         stack = np.stack([np.asarray(e, dtype=complex) for e in povm])
     except (TypeError, ValueError, OverflowError):
-        return None
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        return None
-    n = stack.shape[1]
-    if n < 1 or (dim is not None and n != dim):
-        return None
-    adjoint = stack.conj().swapaxes(1, 2)
-    with np.errstate(invalid="ignore"):  # inf - inf: the fallback reports it
-        gap = np.max(np.abs(stack - adjoint))  # NaN or inf for a non-finite entry
-    if not gap <= HERM_ATOL_POVM:
-        return None
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    backward_error = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (norms + _PSD_SHIFT)
-    if not np.all(backward_error <= _PSD_SHIFT):
-        return None
-    herm = stack if gap == 0.0 else (stack + adjoint) / 2.0
-    try:
-        np.linalg.cholesky(herm + _PSD_SHIFT * np.eye(n))
-    except np.linalg.LinAlgError:
-        return None
-    stack.setflags(write=False)
-    return stack
-
-
-def _checked_elements(povm, where: str, dim: int | None) -> list[np.ndarray]:
-    """One setting's elements validated one at a time, each with ``eigvalsh``."""
+        stack = None  # ragged or not numeric
+    if (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+            and dim in (None, stack.shape[1])):
+        check_hermitian(stack, where, HERM_ATOL_POVM, psd=True)
+        stack.setflags(write=False)
+        return list(stack)
     elements = []
     for a, element in enumerate(povm):
         m = np.array(element, dtype=complex)
         what = f"{where} element {a}"
+        if m.ndim != 2:  # check_hermitian would take a 3-d array for a stack
+            raise ValidationError(f"{what} must be square, got shape {m.shape}")
         check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
+        dim = m.shape[0] if dim is None else dim
+        if m.shape[0] != dim:
             raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
         m.setflags(write=False)
         elements.append(m)
@@ -178,11 +133,8 @@ def _checked_elements(povm, where: str, dim: int | None) -> list[np.ndarray]:
 class Assemblage:
     """Per-site, per-setting POVMs compatible with a (d1, d2) state.
 
-    Each setting is validated as one stack: one asymmetry scan, one norm
-    gate and one Cholesky certificate (:func:`_certified_psd_stack`), and
-    its elements are read-only views of that stack.  A setting the
-    certificate does not cover is validated element by element with
-    ``eigvalsh``.
+    Each setting is validated by one :func:`~bellbound.qstate.check_hermitian`
+    call on the stack of its elements, which are read-only views of it.
     """
 
     site1: tuple[tuple[np.ndarray, ...], ...]
@@ -200,11 +152,7 @@ class Assemblage:
                     raise ValidationError(
                         f"site {site_no} setting {s}: POVM needs >= 2 elements"
                     )
-                stack = _certified_psd_stack(povm, dim)
-                if stack is None:
-                    elements = _checked_elements(povm, f"site {site_no} setting {s}", dim)
-                else:
-                    elements = list(stack)
+                elements = _validated_setting(povm, f"site {site_no} setting {s}", dim)
                 dim = elements[0].shape[0]
                 total = sum(elements)
                 dev = float(np.max(np.abs(total - np.eye(dim))))

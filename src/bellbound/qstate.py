@@ -39,63 +39,111 @@ def _frozen_complex(a) -> np.ndarray:
 #: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
 _HERM_BLOCK = 256
 
+#: Shift of the Cholesky PSD certificate in :func:`_psd_certified`.
+_PSD_SHIFT = PSD_ATOL / 2.0
 
-def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Largest entry of ``|m - m^H|``; with ``out``, also ``out = (m + m^H) / 2``.
+#: Unit roundoff of double-precision arithmetic.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
-    Works on pairs of square blocks, so no temporary is larger than one block,
-    and ``out`` may be ``m`` itself.  The result is exactly Hermitian.  A NaN
-    or infinite entry in either triangle is a :class:`ValidationError`: the
-    gap it leaves is NaN, which no tolerance comparison would catch.
+
+def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Largest entry of ``|m - m^H|`` per matrix; with ``out``, also ``out = (m + m^H) / 2``.
+
+    ``m`` is one matrix or a stack.  Works on pairs of square blocks, so a
+    temporary holds one block of each matrix, and ``out`` may be ``m``; the
+    result is exactly Hermitian.  A NaN or infinite entry leaves a NaN or
+    infinite gap, which :func:`check_hermitian` refuses.
     """
-    n = m.shape[0]
-    worst = 0.0
-    for i in range(0, n, _HERM_BLOCK):
-        rows = slice(i, i + _HERM_BLOCK)
-        for j in range(i, n, _HERM_BLOCK):
-            cols = slice(j, j + _HERM_BLOCK)
-            upper = m[rows, cols]
-            lower = m[cols, rows]
-            gap = float(np.max(np.abs(upper - lower.conj().T)))
-            if not np.isfinite(gap):
-                raise ValidationError("matrix has a NaN or infinite entry")
-            worst = max(worst, gap)
-            if out is not None:
-                # both halves before either is written, as out may be m
-                upper_mean = (upper + lower.conj().T) / 2.0
-                lower_mean = (lower + upper.conj().T) / 2.0
-                out[rows, cols] = upper_mean
-                out[cols, rows] = lower_mean
+    n = m.shape[-1]
+    worst = np.zeros(m.shape[:-2])
+    with np.errstate(invalid="ignore"):  # inf - inf leaves the NaN gap
+        for i in range(0, n, _HERM_BLOCK):
+            rows = slice(i, i + _HERM_BLOCK)
+            for j in range(i, n, _HERM_BLOCK):
+                cols = slice(j, j + _HERM_BLOCK)
+                upper = m[..., rows, cols]
+                lower = m[..., cols, rows].conj().swapaxes(-1, -2)
+                worst = np.maximum(worst, np.abs(upper - lower).max(axis=(-2, -1)))
+                if out is not None:
+                    mean = (upper + lower) / 2.0
+                    out[..., rows, cols] = mean
+                    out[..., cols, rows] = mean.conj().swapaxes(-1, -2)
     return worst
+
+
+def _psd_certified(m: np.ndarray, exact: bool) -> bool:
+    """Whether one Cholesky proves lambda_min(H) >= -PSD_ATOL for each matrix of ``m``.
+
+    H is a matrix's Hermitian part; ``exact`` says ``m`` is its own.  False
+    means only that the certificate does not apply.
+
+    Certificate: if Cholesky of A = H + (PSD_ATOL/2) I runs to completion,
+    the computed factor R has R^H R = A + dA with |dA| <= g |R^H| |R|,
+    g = gamma_{n+1} = (n+1)u / (1 - (n+1)u) and u the unit roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3; its
+    proof needs only that the factorization completes).  As
+    || |R^H| |R| ||_2 <= n ||R^H R||_2, ||dA||_2 <= n g / (1 - n g) ||A||_2,
+    which is at most 2 n(n+1) u ||A||_2; the factor 2 also covers complex
+    arithmetic.  R^H R is PSD, so lambda_min(H) >= -PSD_ATOL/2 - ||dA||_2.
+    The gate bounds ||A||_2 <= ||H||_F + PSD_ATOL/2 for each H and asks
+    2 n(n+1) u times that to be at most PSD_ATOL/2, so a completed
+    factorization proves lambda_min(H) >= -PSD_ATOL.  The gate is needed
+    because no check before this one bounds the norms (a POVM's
+    sum-to-identity check comes after it).  Valid POVMs pass it up to about
+    n = 128, density operators up to at least n = 470.
+    """
+    n = m.shape[-1]
+    herm = m if exact else (m + m.conj().swapaxes(-1, -2)) / 2.0
+    norms = np.linalg.norm(herm, axis=(-2, -1))
+    backward_error = 2.0 * n * (n + 1) * _UNIT_ROUNDOFF * (norms + _PSD_SHIFT)
+    if not np.all(backward_error <= _PSD_SHIFT):
+        return False
+    try:
+        np.linalg.cholesky(herm + _PSD_SHIFT * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def check_hermitian(m: np.ndarray, what: str, herm_atol: float,
                     unit_trace: bool = False, psd: bool = False) -> float:
-    """Validate a finite square matrix as Hermitian; return its asymmetry.
+    """Validate an ``(n, n)`` matrix or ``(k, n, n)`` stack as Hermitian; return its asymmetry.
 
-    The asymmetry is the largest entry of ``|m - m^H|`` (:func:`_asymmetry`,
-    which also refuses NaN and infinite entries) and may not exceed
-    ``herm_atol``.  With ``unit_trace``, ``|tr m - 1|`` may not exceed
-    ``TRACE_ATOL``; with ``psd``, the smallest eigenvalue of ``(m + m^H) / 2``
-    may not fall below ``-PSD_ATOL``.  A failure raises
-    :class:`ValidationError` with a message that begins with ``what``.
+    Each matrix's asymmetry, the largest entry of ``|m - m^H|``, must be
+    finite and at most ``herm_atol``.  With ``unit_trace``, ``|tr m - 1|``
+    may not exceed ``TRACE_ATOL``; with ``psd``, the smallest eigenvalue of
+    ``(m + m^H) / 2`` may not fall below ``-PSD_ATOL``, which one Cholesky
+    certificate for all matrices (:func:`_psd_certified`) settles where it
+    applies and ``eigvalsh`` per matrix otherwise.  The first failing matrix
+    raises :class:`ValidationError` for its first failing check (finite,
+    Hermitian, trace, PSD) with a message that begins with ``what``, or with
+    ``"{what} element {a}"`` for element ``a`` of a stack.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
-    herm = _asymmetry(m)
-    if herm > herm_atol:
-        raise ValidationError(f"{what} is not Hermitian (max asymmetry {herm:.3e})")
-    if unit_trace:
-        tr_err = abs(complex(np.trace(m)) - 1.0)
-        if tr_err > TRACE_ATOL:
-            raise ValidationError(f"{what} trace deviates from 1 by {tr_err:.3e}")
-    if psd:
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min(initial=np.inf))
-        if lo < -PSD_ATOL:
-            raise ValidationError(
-                f"{what} is not positive semidefinite (min eigenvalue {lo:.3e})"
-            )
-    return herm
+    stack = m if m.ndim == 3 else m[np.newaxis]
+    gaps = _asymmetry(stack)
+    worst = float(gaps.max(initial=0.0))  # NaN if any gap is NaN
+    certified = psd and worst <= herm_atol and _psd_certified(stack, worst == 0.0)
+    if worst <= herm_atol and not unit_trace and certified == psd:
+        return worst
+    for a, (element, gap) in enumerate(zip(stack, gaps)):
+        name = what if m.ndim == 2 else f"{what} element {a}"
+        if not np.isfinite(gap):
+            raise ValidationError(f"{name} has a NaN or infinite entry")
+        if gap > herm_atol:
+            raise ValidationError(f"{name} is not Hermitian (max asymmetry {gap:.3e})")
+        if unit_trace:
+            tr_err = abs(complex(np.trace(element)) - 1.0)
+            if tr_err > TRACE_ATOL:
+                raise ValidationError(f"{name} trace deviates from 1 by {tr_err:.3e}")
+        if psd and not certified:
+            lo = float(np.linalg.eigvalsh((element + element.conj().T) / 2.0).min(initial=np.inf))
+            if lo < -PSD_ATOL:
+                raise ValidationError(
+                    f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})"
+                )
+    return worst
 
 
 @dataclass(frozen=True)
@@ -142,6 +190,8 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2:  # check_hermitian would take a 3-d array for a stack
+            raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         check_hermitian(m, "density matrix", HERM_ATOL_DENSITY, unit_trace=True, psd=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

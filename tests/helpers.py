@@ -129,14 +129,17 @@ def brute_force_lhv(f):
 
 
 def reference_assemblage(site1, site2):
-    """Per-element POVM validation, one ``eigvalsh`` per element.
+    """Per-element POVM validation, written out without the library's checks.
 
-    The loop ``Assemblage`` ran before settings were validated as stacks;
-    returns the validated sites as tuples of read-only arrays, or raises the
-    first failure with the same message.
+    Each element in turn must be a square matrix with finite entries, whose
+    largest entry of ``|m - m^H|`` is at most ``HERM_ATOL_POVM``, whose
+    Hermitian part has no ``eigvalsh`` eigenvalue below ``-PSD_ATOL``, and
+    whose size is the site's; then each setting must sum to the identity.
+    Returns the validated sites as tuples of read-only arrays, or raises the
+    first failure with the message ``Assemblage`` gives.
     """
     from bellbound import ValidationError
-    from bellbound.qstate import HERM_ATOL_POVM, POVM_SUM_ATOL, check_hermitian
+    from bellbound.qstate import HERM_ATOL_POVM, POVM_SUM_ATOL, PSD_ATOL
 
     frozen = []
     for site_no, povms in ((1, site1), (2, site2)):
@@ -151,7 +154,18 @@ def reference_assemblage(site1, site2):
             for a, element in enumerate(povm):
                 m = np.array(element, dtype=complex)
                 what = f"site {site_no} setting {s} element {a}"
-                check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
+                if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                    raise ValidationError(f"{what} must be square, got shape {m.shape}")
+                if not np.all(np.isfinite(m)):
+                    raise ValidationError(f"{what} has a NaN or infinite entry")
+                gap = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+                if gap > HERM_ATOL_POVM:
+                    raise ValidationError(f"{what} is not Hermitian (max asymmetry {gap:.3e})")
+                lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min(initial=np.inf))
+                if lo < -PSD_ATOL:
+                    raise ValidationError(
+                        f"{what} is not positive semidefinite (min eigenvalue {lo:.3e})"
+                    )
                 if dim is None:
                     dim = m.shape[0]
                 elif m.shape[0] != dim:
@@ -168,6 +182,20 @@ def reference_assemblage(site1, site2):
             site_out.append(tuple(elements))
         frozen.append(tuple(site_out))
     return tuple(frozen)
+
+
+def count_lapack(monkeypatch):
+    """Count calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh`` from now on."""
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def chsh_max_two_qubit(state):

@@ -36,6 +36,7 @@ from helpers import (
     brute_force_extrema,
     brute_force_lhv,
     chsh_max_two_qubit,
+    count_lapack,
     observable_assemblage,
     random_functional,
     random_povm,
@@ -359,18 +360,7 @@ class TestAssemblageValidation:
                     assert np.array_equal(e_got, e_want)
                     assert not e_got.flags.writeable
 
-    @staticmethod
-    def _count_lapack(monkeypatch):
-        calls = {"cholesky": 0, "eigvalsh": 0}
-        for name in calls:
-            real = getattr(np.linalg, name)
-
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        return calls
+    _count_lapack = staticmethod(count_lapack)
 
     @pytest.mark.parametrize("d", [2, 32, 96])
     def test_one_cholesky_per_setting(self, d, monkeypatch):
@@ -401,6 +391,21 @@ class TestAssemblageValidation:
         calls = self._count_lapack(monkeypatch)
         Assemblage(site1=(povm,), site2=((np.eye(1), np.zeros((1, 1))),))
         assert calls == {"cholesky": 1, "eigvalsh": 2}
+
+    def test_non_finite_element_named(self):
+        valid = (np.eye(2) / 2, np.eye(2) / 2)
+        bad = (np.array([[math.nan, 0.0], [0.0, 0.5]]), np.eye(2) / 2)
+        with pytest.raises(ValidationError) as err:
+            Assemblage(site1=(valid,), site2=(valid, bad))
+        assert str(err.value) == "site 2 setting 1 element 0 has a NaN or infinite entry"
+
+    def test_three_axis_element_is_not_a_stack(self):
+        # a ragged setting is checked element by element, and an element
+        # with three axes is refused, not taken for a stack of matrices
+        povm = (np.stack([np.eye(2) / 2] * 2), np.eye(2) / 2)
+        message = r"site 1 setting 0 element 0 must be square, got shape \(2, 2, 2\)"
+        with pytest.raises(ValidationError, match=message):
+            Assemblage(site1=(povm,), site2=((np.eye(1), np.zeros((1, 1))),))
 
     def test_later_setting_of_other_dimension(self):
         valid2 = (np.eye(2) / 2, np.eye(2) / 2)

@@ -23,7 +23,8 @@ from bellbound import (
     schmidt_sum_squared,
     trace_norm,
 )
-from helpers import random_pure_state, random_unit_vector
+from bellbound.qstate import PSD_ATOL
+from helpers import count_lapack, random_pure_state, random_unit_vector
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
 PRODUCT = PureState(np.array([[1, 0], [0, 0]], dtype=complex))
@@ -67,9 +68,12 @@ HERMITIAN_CALLERS = [
 
 class TestHermitianCheck:
     @pytest.mark.parametrize("caller, tol, n", HERMITIAN_CALLERS)
-    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["upper", "lower"])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (0, 0)],
+                             ids=["upper", "lower", "diagonal"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_non_finite(self, caller, tol, n, entry, bad):
+        # a diagonal inf meets itself in m - m^H: inf - inf must not warn
         m = np.eye(n, dtype=complex) / n
         m[entry] = bad
         with pytest.raises(ValidationError, match="NaN or infinite"):
@@ -97,10 +101,39 @@ class TestDensityOperator:
         ([[1.0, 0.0], [0.0, 1.0]], "density matrix trace deviates from 1"),
         ([[1.5, 0.0], [0.0, -0.5]], "density matrix is not positive semidefinite"),
         ([[1.0, 0.0]], "density matrix must be square"),
-    ], ids=["non-hermitian", "trace", "non-psd", "non-square"])
+        (np.full((2, 2, 2), 0.25), r"density matrix must be square, got shape \(2, 2, 2\)"),
+        ([[math.inf, 0.0], [0.0, 0.0]], "^density matrix has a NaN or infinite entry$"),
+    ], ids=["non-hermitian", "trace", "non-psd", "non-square", "three-axes", "inf"])
     def test_rejects(self, matrix, match):
         with pytest.raises(ValidationError, match=match):
             DensityOperator(np.array(matrix))
+
+    @pytest.mark.parametrize("factor", [-1.1, -0.9, -0.5, 0.5, 0.9, 1.1])
+    def test_psd_tolerance_edge(self, factor):
+        # lambda_min = factor * PSD_ATOL is refused only below -PSD_ATOL,
+        # whether the Cholesky certificate or eigvalsh decides
+        rng = np.random.default_rng(89)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        lam = factor * PSD_ATOL
+        m = (u * [lam, 0.2, 0.3, 0.5 - lam]) @ u.conj().T
+        m = (m + m.conj().T) / 2.0
+        if factor < -1.0:
+            with pytest.raises(ValidationError, match="density matrix is not positive semidef"):
+                DensityOperator(m)
+        else:
+            DensityOperator(m)
+
+    def test_valid_matrix_certified_by_one_cholesky(self, monkeypatch):
+        rho = reduced_state(random_pure_state(np.random.default_rng(5), 4, 4), 1).matrix
+        calls = count_lapack(monkeypatch)
+        DensityOperator(rho)
+        assert calls == {"cholesky": 1, "eigvalsh": 0}
+
+    def test_reduced_state_stores_symmetrized_product(self):
+        st = random_pure_state(np.random.default_rng(6), 3, 5)
+        a = st.amplitudes
+        for site, m in ((1, a @ a.conj().T), (2, a.T @ a.conj())):
+            assert np.array_equal(reduced_state(st, site).matrix, (m + m.conj().T) / 2.0)
 
 
 class TestSchmidtDecompose:
