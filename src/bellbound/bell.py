@@ -103,13 +103,14 @@ def chsh_functional() -> BellFunctional:
 def _validated_setting(povm, where: str, dim: int | None) -> list[np.ndarray]:
     """One setting's elements, validated and read-only; ``dim`` is the site's, if known.
 
-    A ragged setting, or one of another dimension, is checked element by element.
+    A ragged or empty setting, or one of another dimension, is checked element
+    by element.
     """
     try:
         stack = np.stack([np.asarray(e, dtype=complex) for e in povm])
     except (TypeError, ValueError, OverflowError):
         stack = None  # ragged or not numeric
-    if (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+    if (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0
             and dim in (None, stack.shape[1])):
         check_hermitian(stack, where, HERM_ATOL_POVM, psd=True)
         stack.setflags(write=False)
@@ -120,6 +121,8 @@ def _validated_setting(povm, where: str, dim: int | None) -> list[np.ndarray]:
         what = f"{where} element {a}"
         if m.ndim != 2:  # check_hermitian would take a 3-d array for a stack
             raise ValidationError(f"{what} must be square, got shape {m.shape}")
+        if m.size == 0:
+            raise ValidationError(f"{what} is empty, got shape {m.shape}")
         check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
         dim = m.shape[0] if dim is None else dim
         if m.shape[0] != dim:

@@ -52,22 +52,23 @@ def _asymmetry(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``m`` is one matrix or a stack.  Works on pairs of square blocks, so a
     temporary holds one block of each matrix, and ``out`` may be ``m``; the
     result is exactly Hermitian.  A NaN or infinite entry leaves a NaN or
-    infinite gap, which :func:`check_hermitian` refuses.
+    infinite gap, and so does a difference that overflows;
+    :func:`check_hermitian` refuses both.
     """
     n = m.shape[-1]
     worst = np.zeros(m.shape[:-2])
-    with np.errstate(invalid="ignore"):  # inf - inf leaves the NaN gap
-        for i in range(0, n, _HERM_BLOCK):
-            rows = slice(i, i + _HERM_BLOCK)
-            for j in range(i, n, _HERM_BLOCK):
-                cols = slice(j, j + _HERM_BLOCK)
-                upper = m[..., rows, cols]
-                lower = m[..., cols, rows].conj().swapaxes(-1, -2)
-                worst = np.maximum(worst, np.abs(upper - lower).max(axis=(-2, -1)))
-                if out is not None:
-                    mean = (upper + lower) / 2.0
-                    out[..., rows, cols] = mean
-                    out[..., cols, rows] = mean.conj().swapaxes(-1, -2)
+    for i in range(0, n, _HERM_BLOCK):
+        rows = slice(i, i + _HERM_BLOCK)
+        for j in range(i, n, _HERM_BLOCK):
+            cols = slice(j, j + _HERM_BLOCK)
+            upper = m[..., rows, cols]
+            lower = m[..., cols, rows].conj().swapaxes(-1, -2)
+            worst = np.maximum(worst, np.abs(upper - lower).max(axis=(-2, -1)))
+            if out is not None:
+                # (upper + lower) / 2 to the bit, without overflow near the float limit
+                mean = upper / 2.0 + lower / 2.0
+                out[..., rows, cols] = mean
+                out[..., cols, rows] = mean.conj().swapaxes(-1, -2)
     return worst
 
 
@@ -90,7 +91,8 @@ def _psd_certified(m: np.ndarray, exact: bool) -> bool:
     factorization proves lambda_min(H) >= -PSD_ATOL.  The gate is needed
     because no check before this one bounds the norms (a POVM's
     sum-to-identity check comes after it).  Valid POVMs pass it up to about
-    n = 128, density operators up to at least n = 470.
+    n = 128, density operators up to at least n = 470.  A norm that
+    overflows to inf fails the gate; the caller silences that overflow.
     """
     n = m.shape[-1]
     herm = m if exact else (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -122,23 +124,27 @@ def check_hermitian(m: np.ndarray, what: str, herm_atol: float,
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
     stack = m if m.ndim == 3 else m[np.newaxis]
-    gaps = _asymmetry(stack)
-    worst = float(gaps.max(initial=0.0))  # NaN if any gap is NaN
-    certified = psd and worst <= herm_atol and _psd_certified(stack, worst == 0.0)
+    # inf - inf and overflow near the float limit leave a non-finite gap or
+    # gate norm, which the checks below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = _asymmetry(stack)
+        worst = float(gaps.max(initial=0.0))  # NaN if any gap is NaN
+        certified = psd and worst <= herm_atol and _psd_certified(stack, worst == 0.0)
     if worst <= herm_atol and not unit_trace and certified == psd:
         return worst
     for a, (element, gap) in enumerate(zip(stack, gaps)):
         name = what if m.ndim == 2 else f"{what} element {a}"
-        if not np.isfinite(gap):
+        if not np.isfinite(gap) and not np.all(np.isfinite(element)):
             raise ValidationError(f"{name} has a NaN or infinite entry")
-        if gap > herm_atol:
+        if gap > herm_atol:  # inf where finite entries overflow the difference
             raise ValidationError(f"{name} is not Hermitian (max asymmetry {gap:.3e})")
         if unit_trace:
             tr_err = abs(complex(np.trace(element)) - 1.0)
             if tr_err > TRACE_ATOL:
                 raise ValidationError(f"{name} trace deviates from 1 by {tr_err:.3e}")
         if psd and not certified:
-            lo = float(np.linalg.eigvalsh((element + element.conj().T) / 2.0).min(initial=np.inf))
+            herm = element if gap == 0.0 else (element + element.conj().T) / 2.0
+            lo = float(np.linalg.eigvalsh(herm).min(initial=np.inf))
             if lo < -PSD_ATOL:
                 raise ValidationError(
                     f"{name} is not positive semidefinite (min eigenvalue {lo:.3e})"

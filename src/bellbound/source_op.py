@@ -150,14 +150,20 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
 
 
 def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
-    """``sum_{k,k1} c_k c_k1 W1(k,k1) (x) W2(k,k1)`` as one factorized product.
+    """``sum_{k,k1} c_k c_k1 W1(k,k1) (x) W2(k,k1)``, exactly Hermitian from half its terms.
 
-    The W-block term lists of both sides are paired into one list of
-    ``N = d1^s1 * d2^s2``-long kets and bras: one term per diagonal block and
-    at most four per off-diagonal one, since one side holds a single copy.
-    Building the factors costs O(N * terms); the operator is then the single
-    product ``(kets * weights) @ bras^H``, O(N^2 * terms), made exactly
-    Hermitian in place.
+    For ``|p| = 1``, ``(f_k1 + p f_k)^(x)s = p^s (f_k + conj(p) f_k1)^(x)s``,
+    so the ``(k1, k)`` term with phase ``conj(p)`` is the adjoint of the
+    ``(k, k1)`` term with phase ``p``; at ``s = 1`` the single term
+    ``|e_k><e_k1|`` pairs the same way.  Hence ``T = Z + Z^H``, with ``Z`` the
+    terms of ``k <= k1`` and the diagonal ones weighted 1/2.  The W-block
+    term lists of both sides are paired into ``N = d1^s1 * d2^s2``-long kets
+    ``K`` and bras ``B`` with ``Z = K diag(w) B^H``, so
+    ``T = [K w, B conj(w)] [B, K]^H``.  Each row block of ``_HERM_BLOCK`` rows
+    takes one product, for its columns from the diagonal block on; the
+    diagonal block is made exactly Hermitian as ``(D + D^H) / 2`` and the
+    blocks below it are the adjoints of those to its right.  The factors cost
+    O(N * terms) and the products O(N^2 * terms / 2), with no mean pass.
     """
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
     coeffs = schmidt.coefficients
@@ -165,21 +171,29 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     right = schmidt.right_basis
     d1 = left.shape[1]
     d2 = right.shape[1]
-    dim1 = d1**s1
-    dim2 = d2**s2
-    _guard_dim(dim1 * dim2, f"source operator with d1={d1}, s1={s1}, d2={d2}, s2={s2}")
+    n = d1**s1 * d2**s2
+    _guard_dim(n, f"source operator with d1={d1}, s1={s1}, d2={d2}, s2={s2}")
     kets, bras, weights = [], [], []
     for k in range(schmidt.rank):
-        for k1 in range(schmidt.rank):
+        for k1 in range(k, schmidt.rank):
             ket1, bra1, w1 = _w_terms(left[k], left[k1], s1)
             ket2, bra2, w2 = _w_terms(right[k], right[k1], s2)
-            kets.append(np.einsum("ia,jb->ijab", ket1, ket2).reshape(dim1 * dim2, -1))
-            bras.append(np.einsum("ia,jb->ijab", bra1, bra2).reshape(dim1 * dim2, -1))
-            weights.append(coeffs[k] * coeffs[k1] * np.outer(w1, w2).reshape(-1))
+            kets.append(np.einsum("ia,jb->ijab", ket1, ket2).reshape(n, -1))
+            bras.append(np.einsum("ia,jb->ijab", bra1, bra2).reshape(n, -1))
+            c = coeffs[k] * coeffs[k1] * (0.5 if k == k1 else 1.0)
+            weights.append(c * np.outer(w1, w2).reshape(-1))
     ket = np.concatenate(kets, axis=1)
     bra = np.concatenate(bras, axis=1)
-    total = (ket * np.concatenate(weights)) @ bra.conj().T
-    _asymmetry(total, out=total)  # symmetrize in place
+    w = np.concatenate(weights)
+    lhs = np.concatenate([ket * w, bra * w.conj()], axis=1)
+    rhs = np.concatenate([bra, ket], axis=1).conj().T
+    total = np.empty((n, n), dtype=complex)
+    for i in range(0, n, _HERM_BLOCK):
+        rows, after = slice(i, i + _HERM_BLOCK), slice(i + _HERM_BLOCK, None)
+        np.matmul(lhs[rows], rhs[:, i:], out=total[rows, i:])
+        diag = total[rows, rows]
+        diag[...] = (diag + diag.conj().T) / 2.0
+        total[after, rows] = total[rows, after].conj().T
     total.setflags(write=False)
     return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=total)
 
@@ -294,13 +308,41 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m if small is None else small))))
 
 
-def _random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2.0
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    if scale < 1e-12:  # probability zero; keep the check total
-        return np.eye(d, dtype=complex)
-    return h / scale
+#: Matrix entries of one site pair times the samples drawn in one chunk by
+#: :func:`_unit_hermitian_pairs`; bounds its arrays for any sample count.
+_DRAW_ENTRIES = 4096
+
+
+def _unit_hermitian(parts: np.ndarray) -> np.ndarray:
+    """Unit-operator-norm ``(g + g^H) / 2`` per ``(re, im)`` pair of an ``(n, 2, d, d)`` stack.
+
+    ``g = re + 1j*im``; a ``g`` whose Hermitian part is numerically zero gives
+    the identity.
+    """
+    d = parts.shape[-1]
+    g = parts[:, 0] + 1j * parts[:, 1]
+    h = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    scale = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    small = scale < 1e-12  # probability zero; keep the check total
+    h[small] = np.eye(d)
+    scale[small] = 1.0
+    return h / scale[:, None, None]
+
+
+def _unit_hermitian_pairs(rng: np.random.Generator, d1: int, d2: int, n_samples: int):
+    """GUE-style observable pairs ``(x1, x2)``, yielded as stacks one chunk at a time.
+
+    Each chunk is one ``standard_normal`` call, split per sample into the
+    real and imaginary parts of ``x1``, then of ``x2``: the order in which
+    drawing each ``d x d`` part on its own consumes the stream.  So the pairs
+    are those of drawing sample by sample, bit for bit, whatever the chunk.
+    """
+    split = 2 * d1 * d1
+    chunk = max(1, _DRAW_ENTRIES // (d1 * d1 + d2 * d2))
+    for start in range(0, n_samples, chunk):
+        raw = rng.standard_normal((min(chunk, n_samples - start), split + 2 * d2 * d2))
+        yield (_unit_hermitian(raw[:, :split].reshape(-1, 2, d1, d1)),
+               _unit_hermitian(raw[:, split:].reshape(-1, 2, d2, d2)))
 
 
 def _two_copy_marginals(T: SourceOperator) -> np.ndarray:
@@ -336,8 +378,10 @@ def verify_dilation(
 
     The source expectation only sees the two-copy marginal of ``T`` on the
     slot pair, so each of the ``s1 * s2`` marginals is formed once by a
-    partial trace (:func:`_two_copy_marginals`) and every sampled pair is
-    evaluated on those ``d1*d2``-dimensional matrices.
+    partial trace (:func:`_two_copy_marginals`).  The sampled pairs are
+    drawn and evaluated on those ``d1*d2``-dimensional matrices a chunk at a
+    time (:func:`_unit_hermitian_pairs`): one stacked ``eigvalsh`` per site
+    and one contraction each for the state and the source expectations.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -350,12 +394,12 @@ def verify_dilation(
     marginals = _two_copy_marginals(T)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
-        x1 = _random_unit_hermitian(rng, T.d1)
-        x2 = _random_unit_hermitian(rng, T.d2)
-        want = complex(np.trace(x1 @ amp @ x2.T @ amp.conj().T))
-        got = np.einsum("pabcd,ca,db->p", marginals, x1, x2)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    for x1, x2 in _unit_hermitian_pairs(rng, T.d1, T.d2, n_samples):
+        # <psi| X1 (x) X2 |psi> = sum_al conj(A)_al (X1 A X2^T)_al
+        want = np.einsum("nal,al->n", x1 @ amp @ x2.swapaxes(-1, -2), amp.conj())
+        # sum_abcd M_p[a,b,c,d] X1[c,a] X2[d,b]: contract site 1 by one product
+        got = np.einsum("pbdn,ndb->np", np.tensordot(marginals, x1, ([1, 3], [2, 1])), x2)
+        worst = max(worst, float(np.max(np.abs(got - want[:, None]))))
     return worst
 
 

@@ -399,6 +399,28 @@ class TestAssemblageValidation:
             Assemblage(site1=(valid,), site2=(valid, bad))
         assert str(err.value) == "site 2 setting 1 element 0 has a NaN or infinite entry"
 
+    def test_empty_element_named(self):
+        empty = (np.zeros((0, 0)), np.zeros((0, 0)))
+        one = (np.eye(1), np.zeros((1, 1)))
+        for site1, site2, where in (((empty,), (one,), "site 1 setting 0"),
+                                    ((one,), (one, empty), "site 2 setting 1")):
+            with pytest.raises(ValidationError) as err:
+                Assemblage(site1=site1, site2=site2)
+            assert str(err.value) == f"{where} element 0 is empty, got shape (0, 0)"
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_norm_falls_back_quietly(self, scale, monkeypatch):
+        # ||scale I||_F overflows: the gate fails without a warning, eigvalsh
+        # accepts both elements as they are (scale I + scale I would overflow
+        # too), and the sum-to-identity check refuses them
+        povm = (scale * np.eye(2), np.zeros((2, 2)))
+        calls = self._count_lapack(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            Assemblage(site1=(povm,), site2=((np.eye(1), np.zeros((1, 1))),))
+        assert str(err.value) == ("site 1 setting 0: POVM elements do not sum to identity "
+                                  f"(max deviation {scale:.3e})")
+        assert calls == {"cholesky": 0, "eigvalsh": 2}
+
     def test_three_axis_element_is_not_a_stack(self):
         # a ragged setting is checked element by element, and an element
         # with three axes is refused, not taken for a stack of matrices

@@ -22,6 +22,9 @@ CASES = {
     "lhv_chsh": ["lhv", "--functional", "chsh"],
     "bound_schmidt_3": ["bound", "--input", "schmidt_3.json", "--s1", "3", "--s2", "2"],
     "coherent_1_0.5": ["coherent", "--family", "1", "--alpha", "0.5"],
+    "source_op_phi_plus_2": ["source-op", "--input", "phi_plus.json", "--s2", "2"],
+    # N = 729: the operator spans more than one row block of its build
+    "source_op_dense_3x3_5": ["source-op", "--input", "dense_3x3.json", "--s2", "5"],
 }
 
 

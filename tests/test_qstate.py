@@ -88,6 +88,14 @@ class TestHermitianCheck:
         with pytest.raises(ValidationError, match="is not Hermitian"):
             caller(m)
 
+    @pytest.mark.parametrize("caller, what", [(DensityOperator, "density matrix"),
+                                              (trace_norm, "trace norm input")])
+    def test_overflowing_asymmetry_is_not_hermitian(self, caller, what):
+        # every entry is finite; only m - m^H overflows, and without a warning
+        with pytest.raises(ValidationError) as err:
+            caller(np.array([[1e308, -1e308], [1e308, 0.0]]))
+        assert str(err.value) == f"{what} is not Hermitian (max asymmetry inf)"
+
     def test_stores_input_unsymmetrized_and_frozen(self):
         m = np.array([[0.5, 1e-13], [0.0, 0.5]])
         stored = [DensityOperator(m).matrix, _povm_element(m).site1[0][0]]

@@ -25,6 +25,8 @@ from bellbound import (
     trace_norm,
     verify_dilation,
 )
+from bellbound import qstate, source_op
+from bellbound.qstate import _HERM_BLOCK
 from bellbound.source_op import DEFAULT_MAX_DIM, SourceOperator
 from helpers import random_pure_state
 
@@ -113,6 +115,31 @@ def _embed_per_slot_residual(op, state, n_samples, seed):
             for slot2 in range(op.s2):
                 e = np.kron(embed(x1, op.d1, op.s1, slot1), embed(x2, op.d2, op.s2, slot2))
                 worst = max(worst, abs(np.trace(op.matrix @ e) - want))
+    return worst
+
+
+def _random_unit_hermitian(rng, d):
+    """One observable as the dilation check draws it, one sample at a time."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (g + g.conj().T) / 2.0
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    if scale < 1e-12:
+        return np.eye(d, dtype=complex)
+    return h / scale
+
+
+def _per_sample_residual(op, state, n_samples, seed):
+    """The dilation residual on two-copy marginals, one sample pair at a time."""
+    amp = state.amplitudes
+    marginals = source_op._two_copy_marginals(op)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        x1 = _random_unit_hermitian(rng, op.d1)
+        x2 = _random_unit_hermitian(rng, op.d2)
+        want = complex(np.trace(x1 @ amp @ x2.T @ amp.conj().T))
+        got = np.einsum("pabcd,ca,db->p", marginals, x1, x2)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 
 
@@ -265,6 +292,24 @@ class TestVerifyDilation:
         with pytest.raises(ValueError, match="match"):
             verify_dilation(op, other)
 
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 1)])
+    def test_batched_draws_match_sequential(self, d1, d2):
+        n = source_op._DRAW_ENTRIES // (d1 * d1 + d2 * d2) + 1  # one chunk plus one
+        chunks = list(source_op._unit_hermitian_pairs(np.random.default_rng(11), d1, d2, n))
+        assert [len(x1) for x1, _ in chunks] == [n - 1, 1]
+        x1 = np.concatenate([x for x, _ in chunks])
+        x2 = np.concatenate([x for _, x in chunks])
+        rng = np.random.default_rng(11)
+        for i in range(n):
+            assert np.array_equal(x1[i], _random_unit_hermitian(rng, d1))
+            assert np.array_equal(x2[i], _random_unit_hermitian(rng, d2))
+
+    def test_zero_draw_becomes_identity(self):
+        parts = np.zeros((2, 2, 2, 2))
+        parts[1, 0] = np.diag([1.0, -2.0])
+        x = source_op._unit_hermitian(parts)
+        assert np.array_equal(x, [np.eye(2), np.diag([0.5, -1.0])])
+
 
 class TestFactorisedPath:
     def test_builders_match_kron_reference(self):
@@ -275,6 +320,35 @@ class TestFactorisedPath:
     def test_operator_is_exactly_hermitian(self):
         for _, op in _oracle_cases():
             assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+    @pytest.mark.parametrize("d, s", [(8, 2), (3, 5)], ids=["N=512", "N=729"])
+    def test_multi_block_builds(self, d, s):
+        # 512 rows fill two row blocks of 256; 729 rows end on a ragged third
+        rng = np.random.default_rng(47)
+        for rank in (d, 2):
+            sd = schmidt_decompose(_rank_state(rng, d, rank))
+            assert sd.rank == rank
+            for op in (build_source_1xs(sd, s), build_source_sx1(sd, s)):
+                m = op.matrix
+                assert m.shape[0] == d ** (s + 1) > _HERM_BLOCK
+                assert np.array_equal(m, m.conj().T)
+                assert np.max(np.abs(m - _kron_source(sd, op.s1, op.s2))) <= 1e-13
+                assert abs(np.trace(m) - 1.0) <= 1e-12
+
+    def test_build_scans_asymmetry_once(self, monkeypatch):
+        # Hermitian by construction: only SourceOperator's validation scans it
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(53), 3, 3))
+        shapes = []
+        scan = qstate._asymmetry
+
+        def spy(m, out=None):
+            shapes.append(m.shape)
+            return scan(m, out)
+
+        monkeypatch.setattr(qstate, "_asymmetry", spy)
+        monkeypatch.setattr(source_op, "_asymmetry", spy)
+        build_source_1xs(sd, 5)
+        assert shapes == [(1, 729, 729)]
 
     def _checked_operators(self):
         """The oracle cases plus Hermitian, unit-trace corruptions of them."""
@@ -306,6 +380,13 @@ class TestFactorisedPath:
             want = _embed_per_slot_residual(op, st, n_samples=6, seed=9)
             assert abs(verify_dilation(op, st, n_samples=6, seed=9) - want) <= 1e-12
 
+    def test_matches_per_sample_loop(self):
+        for st, op in self._checked_operators():
+            # 300 samples span two chunks at d1 = d2 = 3
+            for n in (20, 300):
+                want = _per_sample_residual(op, st, n_samples=n, seed=13)
+                assert abs(verify_dilation(op, st, n_samples=n, seed=13) - want) <= 1e-15
+
 
 class TestTraceNorm:
     def test_identity(self):
@@ -327,6 +408,10 @@ class TestTraceNorm:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError, match="NaN or infinite"):
             trace_norm(np.array(bad, dtype=complex))
+
+    def test_hermitian_part_near_float_limit(self):
+        # asymmetry 2e-9 is within tolerance; the Hermitian part must not overflow
+        assert trace_norm(np.array([[1e308 + 1e-9j, 0.0], [0.0, 0.0]])) == 1e308
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
