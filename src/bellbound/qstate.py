@@ -37,7 +37,8 @@ def _frozen_complex(a) -> np.ndarray:
 
 
 #: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
-_HERM_BLOCK = 256
+#: 128 scanned N = 729 to 1296 faster than 256.
+_HERM_BLOCK = 128
 
 #: Shift of the Cholesky PSD certificate in :func:`_psd_certified`.
 _PSD_SHIFT = PSD_ATOL / 2.0
@@ -108,17 +109,20 @@ def _psd_certified(m: np.ndarray, exact: bool) -> bool:
 
 
 def check_hermitian(m: np.ndarray, what: str, herm_atol: float,
-                    unit_trace: bool = False, psd: bool = False) -> float:
+                    unit_trace: bool = False, psd: bool = False,
+                    trace_weights: np.ndarray | None = None) -> float:
     """Validate an ``(n, n)`` matrix or ``(k, n, n)`` stack as Hermitian; return its asymmetry.
 
     Each matrix's asymmetry, the largest entry of ``|m - m^H|``, must be
     finite and at most ``herm_atol``.  With ``unit_trace``, ``|tr m - 1|``
-    may not exceed ``TRACE_ATOL``; with ``psd``, the smallest eigenvalue of
-    ``(m + m^H) / 2`` may not fall below ``-PSD_ATOL``, which one Cholesky
-    certificate for all matrices (:func:`_psd_certified`) settles where it
-    applies and ``eigvalsh`` per matrix otherwise.  The first failing matrix
-    raises :class:`ValidationError` for its first failing check (finite,
-    Hermitian, trace, PSD) with a message that begins with ``what``, or with
+    may not exceed ``TRACE_ATOL``, where ``tr m`` is
+    ``sum_c trace_weights[c] m[c, c]`` if ``trace_weights`` is given; with
+    ``psd``, the smallest eigenvalue of ``(m + m^H) / 2`` may not fall below
+    ``-PSD_ATOL``, which one Cholesky certificate for all matrices
+    (:func:`_psd_certified`) settles where it applies and ``eigvalsh`` per
+    matrix otherwise.  The first failing matrix raises
+    :class:`ValidationError` for its first failing check (finite, Hermitian,
+    trace, PSD) with a message that begins with ``what``, or with
     ``"{what} element {a}"`` for element ``a`` of a stack.
     """
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -139,7 +143,9 @@ def check_hermitian(m: np.ndarray, what: str, herm_atol: float,
         if gap > herm_atol:  # inf where finite entries overflow the difference
             raise ValidationError(f"{name} is not Hermitian (max asymmetry {gap:.3e})")
         if unit_trace:
-            tr_err = abs(complex(np.trace(element)) - 1.0)
+            tr = (np.trace(element) if trace_weights is None
+                  else trace_weights @ np.diagonal(element))
+            tr_err = abs(complex(tr) - 1.0)
             if tr_err > TRACE_ATOL:
                 raise ValidationError(f"{name} trace deviates from 1 by {tr_err:.3e}")
         if psd and not certified:

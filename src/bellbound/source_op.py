@@ -2,18 +2,21 @@
 
 A source operator on ``H1^(x)s1 (x) H2^(x)s2`` reproduces every two-site
 correlation of a pure state when one observable acts on any single copy of
-each factor and identity acts elsewhere.  The construction here is explicit:
-off-diagonal Schmidt blocks are carried by tensor powers of the four
-unnormalized projectors onto ``e_k ± e_k1`` and ``e_k ± i e_k1``, combined so
-that a single-copy polarization identity recovers ``|e_k><e_k1|``.  The
-resulting operator is Hermitian and unit-trace but in general *not* positive.
+each factor and identity acts elsewhere.  Off-diagonal Schmidt blocks are
+carried by tensor powers of the four unnormalized projectors onto
+``e_k ± e_k1`` and ``e_k ± i e_k1``, combined so that a single-copy
+polarization identity recovers ``|e_k><e_k1|``; the operator is Hermitian and
+unit-trace but in general *not* positive.  As every term is a tensor power,
+it is built as a small Hermitian core on the copies' symmetric subspace (one
+coordinate per multiset of indices), validated there and gathered once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +55,21 @@ def _guard_dim(total: int, what: str) -> None:
         )
 
 
+class _Core(NamedTuple):  # a builder's operator: matrix[a, b] = core[classes[a], classes[b]]
+    core: np.ndarray
+    classes: np.ndarray | None  # None for the identity map
+
+
 @dataclass(frozen=True)
 class SourceOperator:
     """Hermitian unit-trace operator on ``H1^(x)s1 (x) H2^(x)s2``.
 
     Its trace norm is >= 1 automatically (trace norm >= |trace|); positivity
     is not asserted and genuinely fails for entangled states with several
-    copies on one side.
+    copies on one side.  It is a Hermitian ``core`` and a class map with
+    ``matrix[a, b] = core[classes[a], classes[b]]``: a builder's core lives on
+    the copies' classes (:func:`_copy_classes`) and is validated there, and a
+    caller's ``matrix`` is copied and is its own core (``classes`` None).
     """
 
     s1: int
@@ -66,59 +77,73 @@ class SourceOperator:
     d1: int
     d2: int
     matrix: np.ndarray
+    core: np.ndarray = field(init=False, repr=False, compare=False)
+    classes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.s1, self.s2, self.d1, self.d2) < 1:
             raise ValueError("setting counts and dimensions must be >= 1")
-        m = self.matrix
-        if not (
-            isinstance(m, np.ndarray)
-            and m.dtype == complex
-            and m.flags.owndata
-            and not m.flags.writeable
-        ):
-            # a matrix someone can still write to is copied, so the operator
-            # stays frozen; the builders hand over frozen arrays they own
-            m = np.array(m, dtype=complex)
-        # sizes from JSON are unbounded: compare base-2 logarithms (lower
-        # bounds by bit length) before forming a power that may take seconds
-        low_bits = sum(int(s) * (int(d).bit_length() - 1) for s, d in
-                       ((self.s1, self.d1), (self.s2, self.d2)))
-        if low_bits >= m.size.bit_length():
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match d1^s1*d2^s2 > {m.size}"
-            )
-        expected = self.d1**self.s1 * self.d2**self.s2
-        if m.shape != (expected, expected):
-            raise ValidationError(
-                f"matrix shape {m.shape} does not match d1^s1*d2^s2 = {expected}"
-            )
-        check_hermitian(m, "source operator", HERM_ATOL_SOURCE, unit_trace=True)
+        core, classes = (self.matrix if isinstance(self.matrix, _Core)
+                         else (np.array(self.matrix, dtype=complex), None))
+        if classes is None:
+            # sizes from JSON are unbounded: compare base-2 logarithms (lower
+            # bounds by bit length) before forming a power that may take seconds
+            low_bits = sum(int(s) * (int(d).bit_length() - 1) for s, d in
+                           ((self.s1, self.d1), (self.s2, self.d2)))
+            if low_bits >= core.size.bit_length():
+                raise ValidationError(
+                    f"matrix shape {core.shape} does not match d1^s1*d2^s2 > {core.size}")
+            expected = self.d1**self.s1 * self.d2**self.s2
+            if core.shape != (expected, expected):
+                raise ValidationError(
+                    f"matrix shape {core.shape} does not match d1^s1*d2^s2 = {expected}")
+        # the class map is onto, so the core has the gathered matrix's
+        # asymmetry; its trace weighs each class by the indices it holds
+        check_hermitian(core, "source operator", HERM_ATOL_SOURCE, unit_trace=True,
+                        trace_weights=None if classes is None else np.bincount(classes))
+        core.setflags(write=False)
+        m = core if classes is None else core.take(classes, axis=1).take(classes, axis=0)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name, value in (("matrix", m), ("core", core), ("classes", classes)):
+            object.__setattr__(self, name, value)
 
 
-def _tensor_power(v: np.ndarray, s: int) -> np.ndarray:
-    return reduce(np.kron, [v] * s)
+@lru_cache(maxsize=64)
+def _copy_classes(d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(classes, reps)`` for ``s`` copies of a ``d``-dimensional factor.
 
-
-def _w_terms(a: np.ndarray, b: np.ndarray, s: int):
-    """W block as a term list ``(kets, bras, weights)``.
-
-    ``W = kets @ diag(weights) @ bras^H``; every column is a tensor power of
-    one vector, so the factors cost O(d^s) per term.  A diagonal block has one
-    term, ``e_k^(x)s``.  At ``s = 1`` the polarization sum collapses to the
-    single term ``|e_k><e_k1|``; otherwise it has the four terms
-    ``(e_k + p e_k1)^(x)s`` with weight ``p / 2^(s+1)``, ``p`` in ``±1, ±i``.
+    Index tuples ``(i1, ..., is)`` that permute into one another form one of
+    ``C(d+s-1, s)`` classes.  ``classes`` maps the ``d^s`` indices (in
+    ``np.kron`` order) to classes and ``reps`` holds each class's sorted
+    tuple, so ``v^(x)s[i] = prod(v[reps[classes[i]]])``.
     """
-    if np.allclose(a, b, atol=1e-14):
-        ket = _tensor_power(a, s)[:, None]
-        return ket, ket, np.ones(1, dtype=complex)
-    if s == 1:
-        return a[:, None], b[:, None], np.ones(1, dtype=complex)
-    phases = np.array([1.0, -1.0, 1.0j, -1.0j])
-    kets = np.stack([_tensor_power(a + p * b, s) for p in phases], axis=1)
-    return kets, kets, phases / 2 ** (s + 1)
+    tuples = np.sort(np.indices((d,) * s).reshape(s, -1).T, axis=1)
+    _, first, classes = np.unique(tuples @ d ** np.arange(s), return_index=True,
+                                  return_inverse=True)
+    reps = tuples[first]
+    classes.setflags(write=False)
+    reps.setflags(write=False)
+    return classes, reps
+
+
+def _w_terms(a: np.ndarray, b: np.ndarray, s: int, diagonal: bool):
+    """W blocks of the pairs ``(a[p], b[p])`` as term lists ``(kets, bras, weights)``.
+
+    ``W_p = sum_t weights[t] kets[p, t] bras[p, t]^H`` on the classes of
+    :func:`_copy_classes`, every ket a tensor power's monomials.  A diagonal
+    block has one term, ``e_k^(x)s``; at ``s = 1`` an off-diagonal one has
+    ``|e_k><e_k1|``, else ``(e_k + p e_k1)^(x)s`` with weight ``p / 2^(s+1)``
+    for ``p`` in ``±1, ±i``.
+    """
+    reps = _copy_classes(a.shape[-1], s)[1]
+    polarized = s > 1 and not diagonal
+    if polarized:
+        phases = np.array([1.0, -1.0, 1.0j, -1.0j])
+        a, weights = a[:, None] + phases[:, None] * b[:, None], phases / 2 ** (s + 1)
+    else:
+        a, b, weights = a[:, None], b[:, None], np.ones(1)
+    kets = np.prod(a[..., reps], axis=-1)
+    return kets, kets if polarized or diagonal else np.prod(b[..., reps], axis=-1), weights
 
 
 def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
@@ -132,10 +157,8 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
     with unnormalized projectors onto ``e_k ± e_k1`` and ``e_k ± i e_k1``;
     at ``s = 1`` the combination collapses to ``|e_k><e_k1|`` exactly, and a
     partial trace over all but any one copy does the same for every ``s``.
-
-    The block is materialized from its term list (at most four tensor-power
-    kets of length ``d^s``) as one product, ``(kets * weights) @ bras^H``:
-    O(d^s * terms) for the factors and O(d^(2s) * terms) for the product.
+    The block is one product of its term list on the ``C(d+s-1, s)`` classes
+    of :func:`_copy_classes`, gathered to ``d^s x d^s``.
     """
     if s < 1:
         raise ValueError(f"copy count s must be >= 1, got {s}")
@@ -145,57 +168,51 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"basis vectors differ in length: {a.shape} vs {b.shape}")
     d = len(a)
     _guard_dim(d**s, f"w block with d={d}, s={s}")
-    kets, bras, weights = _w_terms(a, b, s)
-    return (kets * weights) @ bras.conj().T
+    kets, bras, weights = _w_terms(a[None], b[None], s, bool(np.allclose(a, b, atol=1e-14)))
+    classes = _copy_classes(d, s)[0]
+    return ((kets[0].T * weights) @ bras[0].conj()).take(classes, axis=1).take(classes, axis=0)
 
 
 def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     """``sum_{k,k1} c_k c_k1 W1(k,k1) (x) W2(k,k1)``, exactly Hermitian from half its terms.
 
-    For ``|p| = 1``, ``(f_k1 + p f_k)^(x)s = p^s (f_k + conj(p) f_k1)^(x)s``,
-    so the ``(k1, k)`` term with phase ``conj(p)`` is the adjoint of the
-    ``(k, k1)`` term with phase ``p``; at ``s = 1`` the single term
-    ``|e_k><e_k1|`` pairs the same way.  Hence ``T = Z + Z^H``, with ``Z`` the
-    terms of ``k <= k1`` and the diagonal ones weighted 1/2.  The W-block
-    term lists of both sides are paired into ``N = d1^s1 * d2^s2``-long kets
-    ``K`` and bras ``B`` with ``Z = K diag(w) B^H``, so
-    ``T = [K w, B conj(w)] [B, K]^H``.  Each row block of ``_HERM_BLOCK`` rows
-    takes one product, for its columns from the diagonal block on; the
-    diagonal block is made exactly Hermitian as ``(D + D^H) / 2`` and the
-    blocks below it are the adjoints of those to its right.  The factors cost
-    O(N * terms) and the products O(N^2 * terms / 2), with no mean pass.
+    Every term is a tensor power on each side, so the operator is a core on
+    the ``D = D1 * D2`` class pairs of :func:`_copy_classes`, gathered once
+    to ``N = d1^s1 * d2^s2`` rows (at ``s1 = s2 = 1`` the core is the matrix).
+    As ``(f_k1 + p f_k)^(x)s = p^s (f_k + conj(p) f_k1)^(x)s`` for ``|p| = 1``,
+    the ``(k1, k)`` terms are adjoints of the ``(k, k1)`` ones, so
+    ``T = Z + Z^H = [K w, B conj(w)] [B, K]^H`` for ``Z = K diag(w) B^H`` of
+    the ``k <= k1`` terms, the diagonal ones weighted 1/2; only the upper
+    block triangle is multiplied out.  Cost: O(D^2 * terms / 2) for the
+    products and one O(N^2) gather.
     """
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
-    coeffs = schmidt.coefficients
-    left = schmidt.left_basis
-    right = schmidt.right_basis
-    d1 = left.shape[1]
-    d2 = right.shape[1]
+    c, left, right = schmidt.coefficients, schmidt.left_basis, schmidt.right_basis
+    d1, d2 = left.shape[1], right.shape[1]
     n = d1**s1 * d2**s2
     _guard_dim(n, f"source operator with d1={d1}, s1={s1}, d2={d2}, s2={s2}")
+    (classes1, reps1), (classes2, reps2) = _copy_classes(d1, s1), _copy_classes(d2, s2)
+    size = len(reps1) * len(reps2)
+    diag, (k, k1) = np.arange(schmidt.rank), np.triu_indices(schmidt.rank, 1)
     kets, bras, weights = [], [], []
-    for k in range(schmidt.rank):
-        for k1 in range(k, schmidt.rank):
-            ket1, bra1, w1 = _w_terms(left[k], left[k1], s1)
-            ket2, bra2, w2 = _w_terms(right[k], right[k1], s2)
-            kets.append(np.einsum("ia,jb->ijab", ket1, ket2).reshape(n, -1))
-            bras.append(np.einsum("ia,jb->ijab", bra1, bra2).reshape(n, -1))
-            c = coeffs[k] * coeffs[k1] * (0.5 if k == k1 else 1.0)
-            weights.append(c * np.outer(w1, w2).reshape(-1))
-    ket = np.concatenate(kets, axis=1)
-    bra = np.concatenate(bras, axis=1)
-    w = np.concatenate(weights)
-    lhs = np.concatenate([ket * w, bra * w.conj()], axis=1)
-    rhs = np.concatenate([bra, ket], axis=1).conj().T
-    total = np.empty((n, n), dtype=complex)
-    for i in range(0, n, _HERM_BLOCK):
+    for ka, kb, cw in ((diag, diag, c * c / 2), (k, k1, c[k] * c[k1])):
+        ket1, bra1, w1 = _w_terms(left[ka], left[kb], s1, ka is kb)
+        ket2, bra2, w2 = _w_terms(right[ka], right[kb], s2, ka is kb)
+        kets.append(np.einsum("pai,pbj->pabij", ket1, ket2).reshape(-1, size))
+        bras.append(np.einsum("pai,pbj->pabij", bra1, bra2).reshape(-1, size))
+        weights.append((cw[:, None] * np.outer(w1, w2).reshape(-1)).reshape(-1))
+    ket, bra, w = np.concatenate(kets), np.concatenate(bras), np.concatenate(weights)
+    lhs = np.concatenate([ket * w[:, None], bra * w.conj()[:, None]]).T
+    rhs = np.concatenate([bra, ket]).conj()
+    core = np.empty((size, size), dtype=complex)
+    for i in range(0, size, _HERM_BLOCK):
         rows, after = slice(i, i + _HERM_BLOCK), slice(i + _HERM_BLOCK, None)
-        np.matmul(lhs[rows], rhs[:, i:], out=total[rows, i:])
-        diag = total[rows, rows]
-        diag[...] = (diag + diag.conj().T) / 2.0
-        total[after, rows] = total[rows, after].conj().T
-    total.setflags(write=False)
-    return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=total)
+        np.matmul(lhs[rows], rhs[:, i:], out=core[rows, i:])
+        block = core[rows, rows]
+        block[...] = (block + block.conj().T) / 2.0
+        core[after, rows] = core[rows, after].conj().T
+    classes = None if size == n else (classes1[:, None] * len(reps2) + classes2).reshape(-1)
+    return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes))
 
 
 def build_source_1xs(schmidt: SchmidtData, s2: int) -> SourceOperator:
@@ -280,22 +297,15 @@ def _range_compression(m: np.ndarray) -> np.ndarray | None:
 def trace_norm(matrix: np.ndarray) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix.
 
-    The eigenvalues are those of ``(m + m^H) / 2``.  An exactly Hermitian
-    input, such as every :class:`SourceOperator` matrix, is its own Hermitian
-    part and is not copied.
+    The eigenvalues are those of ``(m + m^H) / 2``; an exactly Hermitian
+    input, such as every :class:`SourceOperator` matrix, is not copied.
 
-    A numerically low-rank input is compressed to its range first
-    (:func:`_range_compression`).  A seeded Gaussian sketch ``m @ Omega``,
-    16 columns wide and doubled while its numerical rank fills it, gives an
-    orthonormal basis ``Q`` of the range, and the result is the trace norm of
-    the small matrix ``Q^H m Q``.  The compression is used only when the
-    exact residual ``||m - Q Q^H m||_F`` certifies an error of at most
-    ``TRACE_NORM_RTOL * ||m||_F``.  It costs O(n^2 k) for a final sketch
-    width ``k``, against O(n^3) for a dense ``eigvalsh``; a source operator
-    has rank at most ``r + 4r(r-1)`` for Schmidt rank ``r``, far below its
-    dimension.  Inputs under 64 rows, inputs whose sketch would grow past
-    ``n / 4`` columns and inputs that fail the certificate take the dense
-    ``eigvalsh``.  The sketch is seeded, so repeated calls agree bit for bit.
+    A numerically low-rank input is compressed to its certified range first
+    (:func:`_range_compression`): O(n^2 k) for a final sketch width ``k``,
+    against O(n^3) for a dense ``eigvalsh``; a source operator has rank at
+    most ``r + 4r(r-1)`` for Schmidt rank ``r``.  Inputs under 64 rows and
+    inputs the compression refuses take the dense ``eigvalsh``.  The sketch
+    is seeded, so repeated calls agree bit for bit.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -350,18 +360,15 @@ def _two_copy_marginals(T: SourceOperator) -> np.ndarray:
 
     Entry ``p = slot1 * s2 + slot2`` is the partial trace of ``T`` over every
     copy except copy ``slot1`` of site 1 and copy ``slot2`` of site 2, with
-    axes ``(d1, d2, d1, d2)``.  Each is one einsum over a reshaped view of
-    ``T``, touching O(N * d1 * d2) entries.
+    axes ``(d1, d2, d1, d2)``: one einsum over a view of ``T`` whose traced
+    copies before, between and after the kept two are merged into three axes.
     """
-    n = T.s1 + T.s2
-    dims = (T.d1,) * T.s1 + (T.d2,) * T.s2
-    t = T.matrix.reshape(dims + dims)
     out = []
     for slot1 in range(T.s1):
-        for slot2 in range(T.s1, n):
-            cols = [n + i if i in (slot1, slot2) else i for i in range(n)]
-            kept = [slot1, slot2, n + slot1, n + slot2]
-            out.append(np.einsum(t, list(range(n)) + cols, kept))
+        for slot2 in range(T.s2):
+            between = T.d1 ** (T.s1 - 1 - slot1) * T.d2**slot2
+            shape = (T.d1**slot1, T.d1, between, T.d2, T.d2 ** (T.s2 - 1 - slot2))
+            out.append(np.einsum("paqbrpcqer->abce", T.matrix.reshape(shape * 2)))
     return np.stack(out)
 
 
@@ -377,11 +384,10 @@ def verify_dilation(
     difference; the construction makes this float noise.
 
     The source expectation only sees the two-copy marginal of ``T`` on the
-    slot pair, so each of the ``s1 * s2`` marginals is formed once by a
-    partial trace (:func:`_two_copy_marginals`).  The sampled pairs are
-    drawn and evaluated on those ``d1*d2``-dimensional matrices a chunk at a
-    time (:func:`_unit_hermitian_pairs`): one stacked ``eigvalsh`` per site
-    and one contraction each for the state and the source expectations.
+    slot pair (:func:`_two_copy_marginals`).  The pairs are drawn and
+    evaluated on those ``d1*d2``-dimensional matrices a chunk at a time
+    (:func:`_unit_hermitian_pairs`): one stacked ``eigvalsh`` per site and
+    one contraction each for the state and the source expectations.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -405,14 +411,8 @@ def verify_dilation(
 
 def source_operator_to_json(T: SourceOperator) -> dict:
     """Plain-JSON form of a source operator (real and imaginary parts)."""
-    return {
-        "s1": T.s1,
-        "s2": T.s2,
-        "d1": T.d1,
-        "d2": T.d2,
-        "re": T.matrix.real.tolist(),
-        "im": T.matrix.imag.tolist(),
-    }
+    return {"s1": T.s1, "s2": T.s2, "d1": T.d1, "d2": T.d2,
+            "re": T.matrix.real.tolist(), "im": T.matrix.imag.tolist()}
 
 
 def source_operator_from_json(obj: dict) -> SourceOperator:

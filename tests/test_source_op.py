@@ -181,7 +181,7 @@ class TestWBlock:
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         u, v = np.linalg.qr(raw.conj().T)[0].conj().T
-        for s in (1, 2, 3):
+        for s in (1, 2, 3, 4, 5):
             assert_allclose(
                 build_w_block(u, v, s), _four_projector_block(u, v, s), atol=1e-13
             )
@@ -198,6 +198,32 @@ class TestWBlock:
         e1 = np.array([0, 0, 1], dtype=complex)
         w = build_w_block(e0, e1, 2)
         assert_allclose(w.conj().T, build_w_block(e1, e0, 2), atol=1e-14)
+
+
+class TestCopyClasses:
+    @pytest.mark.parametrize("d, s", [(1, 4), (2, 1), (2, 9), (3, 5), (4, 4), (6, 3)])
+    def test_classes_are_multisets(self, d, s):
+        classes, reps = source_op._copy_classes(d, s)
+        assert len(reps) == math.comb(d + s - 1, s)
+        tuples = np.indices((d,) * s).reshape(s, -1).T  # np.kron order
+        assert np.array_equal(reps[classes], np.sort(tuples, axis=1))
+        mult = np.bincount(classes, minlength=len(reps))
+        assert mult.sum() == d**s
+        multinomials = [
+            math.factorial(s) // math.prod(math.factorial(n) for n in np.bincount(r, minlength=d))
+            for r in reps
+        ]
+        assert mult.tolist() == multinomials
+
+    @pytest.mark.parametrize("d, s", [(2, 9), (3, 5), (6, 3)])
+    def test_monomials_are_tensor_powers(self, d, s):
+        rng = np.random.default_rng(61)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        classes, reps = source_op._copy_classes(d, s)
+        power = v
+        for _ in range(s - 1):
+            power = np.kron(power, v)
+        assert_allclose(np.prod(v[reps], axis=-1)[classes], power, rtol=1e-14)
 
 
 class TestBuildSource:
@@ -323,7 +349,8 @@ class TestFactorisedPath:
 
     @pytest.mark.parametrize("d, s", [(8, 2), (3, 5)], ids=["N=512", "N=729"])
     def test_multi_block_builds(self, d, s):
-        # 512 rows fill two row blocks of 256; 729 rows end on a ragged third
+        # the (8, 2) core has 8 * C(9, 2) = 288 rows, so its product spans
+        # several row blocks and ends on a ragged one; the (3, 5) core has 63
         rng = np.random.default_rng(47)
         for rank in (d, 2):
             sd = schmidt_decompose(_rank_state(rng, d, rank))
@@ -336,7 +363,8 @@ class TestFactorisedPath:
                 assert abs(np.trace(m) - 1.0) <= 1e-12
 
     def test_build_scans_asymmetry_once(self, monkeypatch):
-        # Hermitian by construction: only SourceOperator's validation scans it
+        # Hermitian by construction: only SourceOperator's validation scans
+        # it, on the 3 * C(7, 5) = 63 class pairs of the core, not N = 729 rows
         sd = schmidt_decompose(_rank_state(np.random.default_rng(53), 3, 3))
         shapes = []
         scan = qstate._asymmetry
@@ -347,8 +375,38 @@ class TestFactorisedPath:
 
         monkeypatch.setattr(qstate, "_asymmetry", spy)
         monkeypatch.setattr(source_op, "_asymmetry", spy)
-        build_source_1xs(sd, 5)
-        assert shapes == [(1, 729, 729)]
+        op = build_source_1xs(sd, 5)
+        assert shapes == [(1, 63, 63)]
+        # a caller's matrix is its own core and is scanned in full
+        SourceOperator(s1=1, s2=5, d1=3, d2=3, matrix=op.matrix)
+        assert shapes == [(1, 63, 63), (1, 729, 729)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_class_path_matches_kron_reference(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        s = data.draw(st.integers(1, 4), label="s")
+        rank = data.draw(st.integers(1, d), label="rank")
+        form = data.draw(st.sampled_from(["random", "schmidt form", "equal weights"]),
+                         label="form")
+        build = data.draw(st.sampled_from([build_source_1xs, build_source_sx1]), label="builder")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if form == "random":
+            state = _rank_state(rng, d, rank)
+        else:
+            lam = rng.random(rank) + 0.01 if form == "schmidt form" else np.ones(rank)
+            amp = np.zeros((d, d), dtype=complex)
+            amp[np.arange(rank), np.arange(rank)] = np.sqrt(lam / lam.sum())
+            state = PureState(amp)
+        sd = schmidt_decompose(state)
+        assert sd.rank == rank
+        op = build(sd, s)
+        m = op.matrix
+        assert np.array_equal(m, m.conj().T)
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        assert np.max(np.abs(m - _kron_source(sd, op.s1, op.s2))) <= 1e-13
+        norm = trace_norm(m)
+        assert 1.0 - 1e-9 <= norm <= 2.0 * schmidt_sum_squared(sd) - 1.0 + 1e-9
 
     def _checked_operators(self):
         """The oracle cases plus Hermitian, unit-trace corruptions of them."""
@@ -528,6 +586,43 @@ class TestSourceOperatorValidation:
             tracemalloc.stop()
         assert not op.matrix.flags.writeable
         assert peak < 2 * op.matrix.nbytes
+        # at s = 1 the class map is the identity: the core is the matrix,
+        # handed over with no gather copy (16.8 MB at d = 32)
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(29), 32, 2))
+        tracemalloc.start()
+        try:
+            op = build_source_1xs(sd, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.classes is None and op.matrix is op.core
+        assert not op.matrix.flags.writeable
+        assert peak < 2 * op.matrix.nbytes
+
+    @pytest.mark.parametrize("corruption", ["asymmetric entry", "trace", "NaN"])
+    def test_core_verdict_matches_gathered_matrix(self, corruption):
+        op = build_source_1xs(schmidt_decompose(_rank_state(np.random.default_rng(59), 3, 3)), 4)
+        core = op.core.copy()
+        if corruption == "asymmetric entry":
+            core[0, 1] += 1e-3
+        elif corruption == "trace":
+            core[0, 0] += 1e-9  # class 0 holds the one index (0, 0, 0, 0, 0)
+        else:
+            core[1, 2] = np.nan
+        gathered = core.take(op.classes, axis=1).take(op.classes, axis=0)
+        messages = []
+        for matrix in (source_op._Core(core, op.classes), gathered):
+            with pytest.raises(ValidationError) as err:
+                SourceOperator(s1=1, s2=4, d1=3, d2=3, matrix=matrix)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("source operator ")
+
+    def test_valid_build_passes_full_scan(self):
+        for _, op in _oracle_cases():
+            full = qstate.check_hermitian(op.matrix, "source operator", qstate.HERM_ATOL_SOURCE,
+                                          unit_trace=True)
+            assert full == 0.0
 
 
 class TestJsonRoundTrip:
