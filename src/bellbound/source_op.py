@@ -8,7 +8,8 @@ carried by tensor powers of the four unnormalized projectors onto
 polarization identity recovers ``|e_k><e_k1|``; the operator is Hermitian and
 unit-trace but in general *not* positive.  As every term is a tensor power,
 it is built as a small Hermitian core on the copies' symmetric subspace (one
-coordinate per multiset of indices), validated there and gathered once.
+coordinate per multiset of indices), validated there and gathered once; its
+trace norm finds that core again in the matrix's repeated rows.
 """
 
 from __future__ import annotations
@@ -294,11 +295,60 @@ def _range_compression(m: np.ndarray) -> np.ndarray | None:
     return (h + h.conj().T) / 2.0
 
 
+def _lumped(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(core, weights)`` with ``m[a, b] = core[c[a], c[b]]`` proven bit for bit, or None.
+
+    A fingerprint ``m @ g`` (one real matvec, ``g`` seeded) proposes classes
+    ``c`` of rows; it never decides, and rounding that splits a class of
+    equal rows costs only compression.  On a ``uint64`` view, the classes'
+    first rows must then repeat their columns by ``c`` and every row must
+    equal its class's first row, checked one row block at a time.  ``core``
+    is the first rows' first columns and ``weights[c]`` the rows in class
+    ``c``.  None unless the proof holds with at most ``n / 2`` classes, and
+    for a non-contiguous input, a non-finite fingerprint (a NaN, an infinite
+    entry or an overflow) or a core whose scaling by the weights could
+    overflow.
+    """
+    n = m.shape[0]
+    if n < 2 or not m.flags.c_contiguous:
+        return None
+    g = np.random.default_rng(n).standard_normal(2 * n)  # seeded: deterministic classes
+    with np.errstate(over="ignore", invalid="ignore"):
+        key = m.view(float) @ g
+    if not np.all(np.isfinite(key)):
+        return None
+    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
+    if 2 * len(first) > n:
+        return None
+    reps = m[first]
+    rep_bits = reps.view(np.uint64)
+    if not np.array_equal(reps.take(first[classes], axis=1).view(np.uint64), rep_bits):
+        return None
+    bits = m.view(np.uint64)
+    for i in range(0, n, _HERM_BLOCK):
+        rows = slice(i, i + _HERM_BLOCK)
+        if not np.array_equal(bits[rows], rep_bits[classes[rows]]):
+            return None
+    core, weights = reps.take(first, axis=1), np.bincount(classes)
+    if np.max(np.abs(core.view(float))) > np.finfo(float).max / 2.0 / weights.max():
+        return None
+    return core, weights
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix.
 
     The eigenvalues are those of ``(m + m^H) / 2``; an exactly Hermitian
     input, such as every :class:`SourceOperator` matrix, is not copied.
+
+    An input whose rows and columns repeat exactly, as a multi-copy source
+    operator's do, is ``m = P C P^T`` for a class indicator ``P`` with
+    ``P^T P = diag(w)``.  When :func:`_lumped` proves that with at most
+    ``n / 2`` classes, everything below runs on ``D x D`` matrices: the
+    Hermitian check on ``C``, which holds every entry of ``m`` and so gives
+    the same verdict and message, and the eigenvalues on
+    ``sqrt(w) C sqrt(w)``, which has the nonzero spectrum of ``m``.  Any
+    other input takes the path below unchanged, bit for bit.
 
     A numerically low-rank input is compressed to its certified range first
     (:func:`_range_compression`): O(n^2 k) for a final sketch width ``k``,
@@ -310,10 +360,16 @@ def trace_norm(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    lumped = _lumped(m)
+    if lumped is not None:
+        m, weights = lumped
     herm = check_hermitian(m, "trace norm input", HERM_ATOL_TRACE_NORM)
     if herm > 0.0:
         m = m.copy()
         _asymmetry(m, out=m)
+    if lumped is not None:
+        root = np.sqrt(weights)
+        m = root[:, None] * m * root
     small = _range_compression(m)
     return float(np.sum(np.abs(np.linalg.eigvalsh(m if small is None else small))))
 
@@ -362,14 +418,17 @@ def _two_copy_marginals(T: SourceOperator) -> np.ndarray:
     copy except copy ``slot1`` of site 1 and copy ``slot2`` of site 2, with
     axes ``(d1, d2, d1, d2)``: one einsum over a view of ``T`` whose traced
     copies before, between and after the kept two are merged into three axes.
+    A built operator (``classes`` not None) is exactly copy-symmetric, so its
+    last slot pair's marginal, the cheapest to take, stands for every pair.
     """
+    pairs = ([(T.s1 - 1, T.s2 - 1)] if T.classes is not None
+             else [(slot1, slot2) for slot1 in range(T.s1) for slot2 in range(T.s2)])
     out = []
-    for slot1 in range(T.s1):
-        for slot2 in range(T.s2):
-            between = T.d1 ** (T.s1 - 1 - slot1) * T.d2**slot2
-            shape = (T.d1**slot1, T.d1, between, T.d2, T.d2 ** (T.s2 - 1 - slot2))
-            out.append(np.einsum("paqbrpcqer->abce", T.matrix.reshape(shape * 2)))
-    return np.stack(out)
+    for slot1, slot2 in pairs:
+        between = T.d1 ** (T.s1 - 1 - slot1) * T.d2**slot2
+        shape = (T.d1**slot1, T.d1, between, T.d2, T.d2 ** (T.s2 - 1 - slot2))
+        out.append(np.einsum("paqbrpcqer->abce", T.matrix.reshape(shape * 2)))
+    return np.broadcast_to(np.stack(out), (T.s1 * T.s2,) + out[0].shape)
 
 
 def verify_dilation(
@@ -428,4 +487,6 @@ def source_operator_from_json(obj: dict) -> SourceOperator:
             f"source operator arrays must be square and of one shape, got "
             f"{re.shape} and {im.shape}"
         )
-    return SourceOperator(matrix=re + 1j * im, **sizes)
+    matrix = np.empty(re.shape, dtype=complex)
+    matrix.real, matrix.imag = re, im  # bit for bit: re + 1j*im drops the sign of -0.0
+    return SourceOperator(matrix=matrix, **sizes)

@@ -508,8 +508,9 @@ class TestTraceNorm:
         sizes = _record_eigvalsh_sizes(monkeypatch)
         for m in [ladder, full] + smoke:
             trace_norm(m)
-        # rank 2 at s = 6: at most 2 + 4*2*1 = 10 tensor-power kets
-        assert sizes == [10, 128, 8, 27]
+        # (2, 6) lumps to its D = 2 * C(7, 6) = 14 classes, under 64 rows:
+        # dense; the smoke sizes have D > N/2 and stay whole
+        assert sizes == [14, 128, 8, 27]
 
     def test_certificate_rejects_dropped_tail(self, monkeypatch):
         # 397 eigenvalues of 2e-14 fall below the sketch's rank cut-off
@@ -537,6 +538,60 @@ class TestTraceNorm:
                 assert abs(norm - want) <= 1e-12
                 assert trace_norm(op.matrix) == norm  # seeded sketch: bit-identical
 
+    # the sourceop-ladder rungs (perfbench/workloads.py): the rows each trace
+    # norm works on, D = d * C(d+s-1, s) classes, or N = d^(s+1) where D > N/2
+    # (only (8, 2), D = 288); and per Schmidt rank the rows of its eigvalsh,
+    # the operator's rank where the sketch certifies it, else None for a
+    # dense eigvalsh of all the rows
+    LADDER_PATHS = {
+        (2, 6): (14, {2: None}), (2, 7): (16, {2: None}), (2, 8): (18, {2: None}),
+        (2, 9): (20, {2: None}), (3, 4): (45, {2: None, 3: None}),
+        (3, 5): (63, {2: None, 3: None}), (4, 3): (80, {2: 8, 4: None}),
+        (4, 4): (140, {2: 10, 4: None}), (6, 3): (336, {2: 8, 6: None}),
+        (8, 2): (512, {2: 4, 8: 16}),
+    }
+
+    def test_ladder_rungs_pin_the_path(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        compressed = []
+        sketch = source_op._range_compression
+
+        def spy(m):
+            compressed.append(m.shape[0])
+            return sketch(m)
+
+        monkeypatch.setattr(source_op, "_range_compression", spy)
+        sizes = _record_eigvalsh_sizes(monkeypatch)
+        for (d, s), (rows, ranks) in self.LADDER_PATHS.items():
+            n = d ** (s + 1)
+            for rank, low_rank in ranks.items():
+                sd = schmidt_decompose(_rank_state(rng, d, rank))
+                for build in (build_source_1xs, build_source_sx1):
+                    del compressed[:], sizes[:]
+                    trace_norm(build(sd, s).matrix)
+                    # the fingerprint's rounding may split a class (a few
+                    # more rows), but a rung that lumps stays at most n/2
+                    size, = compressed
+                    assert size == n if rows == n else rows <= size <= n // 2
+                    assert sizes == [size if low_rank is None else low_rank]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_built_operators_match_dense_oracle(self, data):
+        d, s = data.draw(st.sampled_from(
+            [(d, s) for d in range(1, 7) for s in range(1, 10) if d ** (s + 1) <= 1296]),
+            label="(d, s)")
+        rank = data.draw(st.integers(1, d), label="rank")
+        build = data.draw(st.sampled_from([build_source_1xs, build_source_sx1]), label="builder")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        op = build(schmidt_decompose(_rank_state(rng, d, rank)), s)
+        norm = trace_norm(op.matrix)
+        want = _dense_trace_norm(op.matrix)
+        assert abs(norm - want) <= 1e-13 * want
+        back = source_operator_from_json(source_operator_to_json(op))
+        assert np.array_equal(back.matrix.view(np.uint64), op.matrix.view(np.uint64))
+        assert trace_norm(back.matrix) == norm
+
     def test_compression_stays_below_one_operator(self):
         sd = schmidt_decompose(_rank_state(np.random.default_rng(23), 6, 6))
         m = build_source_1xs(sd, 3).matrix
@@ -547,6 +602,110 @@ class TestTraceNorm:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes
+
+
+def _lumpable(rng, weights, asymmetry=0.0):
+    """Random ``P C P^T`` whose classes hold ``weights`` rows, in shuffled order.
+
+    ``C`` is Hermitian but for ``asymmetry`` added to its entry ``(0, 1)``.
+    """
+    d = len(weights)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    core = (g + g.conj().T) / 2.0
+    core[0, 1] += asymmetry
+    classes = rng.permutation(np.repeat(np.arange(d), weights))
+    return core.take(classes, axis=1).take(classes, axis=0), classes
+
+
+def _unlumped_trace_norm(monkeypatch, m):
+    """``trace_norm`` with lumping switched off: the path every other input takes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(source_op, "_lumped", lambda m: None)
+        return trace_norm(m)
+
+
+def _dense_trace_norm(m):
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
+class TestLumpingGuard:
+    def test_lumps_exact_duplicates(self):
+        m, _ = _lumpable(np.random.default_rng(61), [6, 1, 4, 2, 5])
+        core, weights = source_op._lumped(m)
+        # the fingerprint's rounding may split a class, never merge two
+        assert 5 <= len(weights) <= 9 and weights.sum() == 18
+        assert core.shape == (len(weights),) * 2
+        want = _dense_trace_norm(m)
+        assert abs(trace_norm(m) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("entry", [0.25 - 0.5j, 0.0])
+    def test_one_ulp_falls_back(self, entry):
+        # one ulp of 0.0 (5e-324) leaves the fingerprint as it is: only the
+        # bitwise proof sees it
+        m, classes = _lumpable(np.random.default_rng(67), [4, 4, 4, 4])
+        rows, cols = np.flatnonzero(classes == 0), np.flatnonzero(classes == 1)
+        m[np.ix_(rows, cols)] = entry
+        m[np.ix_(cols, rows)] = np.conj(entry)
+        assert source_op._lumped(m) is not None
+        m[rows[1], cols[0]] = np.nextafter(entry.real, np.inf) + 1j * entry.imag
+        assert source_op._lumped(m) is None
+        want = _dense_trace_norm((m + m.conj().T) / 2.0)
+        assert abs(trace_norm(m) - want) <= 1e-13 * want
+
+    def test_rows_repeat_but_columns_do_not(self):
+        rng = np.random.default_rng(71)
+        m, classes = _lumpable(rng, [4, 4, 4, 4])
+        # the same tiny row added to every row of a class: rows still repeat
+        # bit for bit, columns no longer do, and m stays Hermitian to 1e-12
+        m = m + 1e-12 * rng.standard_normal((4, 16))[classes]
+        assert np.array_equal(m[classes == 0][0], m[classes == 0][1])
+        assert source_op._lumped(m) is None
+        want = _dense_trace_norm((m + m.conj().T) / 2.0)
+        assert abs(trace_norm(m) - want) <= 1e-13 * want
+
+    def test_nan_in_duplicated_rows(self):
+        m, classes = _lumpable(np.random.default_rng(73), [3, 3, 2])
+        m[np.ix_(classes == 1, classes == 0)] = np.nan  # one core entry: still P C P^T
+        assert source_op._lumped(m) is None
+        with pytest.raises(ValidationError, match="trace norm input has a NaN or infinite entry"):
+            trace_norm(m)
+
+    def test_asymmetry_message_unchanged(self, monkeypatch):
+        m, _ = _lumpable(np.random.default_rng(79), [2, 3, 4], asymmetry=1e-3)
+        assert source_op._lumped(m) is not None
+        messages = []
+        for run in (trace_norm, lambda m: _unlumped_trace_norm(monkeypatch, m)):
+            with pytest.raises(ValidationError) as err:
+                run(m)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "max asymmetry" in messages[0]
+
+    @pytest.mark.parametrize("big, lumps", [(1e307, True), (2.5e307, False)])
+    def test_entries_near_float_limit(self, monkeypatch, big, lumps):
+        # two classes of 8 rows: 8 * 2.5e307 in the scaled core would
+        # overflow, though the fingerprint stays finite, so that input falls
+        # back, to an infinite trace norm
+        m = np.zeros((16, 16), dtype=complex)
+        m[:8, :8] = big
+        assert (source_op._lumped(m) is not None) == lumps
+        norm = trace_norm(m)
+        if lumps:
+            assert abs(norm - 8.0 * big) <= 1e-13 * 8.0 * big
+        else:
+            assert norm == _unlumped_trace_norm(monkeypatch, m) == np.inf
+
+    def test_non_contiguous_view(self):
+        op = build_source_sx1(schmidt_decompose(_rank_state(np.random.default_rng(83), 2, 2)), 5)
+        padded = np.zeros((64, 128), dtype=complex)
+        padded[:, ::2] = op.matrix
+        view = padded[:, ::2]
+        assert source_op._lumped(view) is None
+        want = _dense_trace_norm(op.matrix)
+        assert abs(trace_norm(view) - want) <= 1e-13 * want
+
+    def test_empty(self):
+        assert trace_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestSourceOperatorValidation:
