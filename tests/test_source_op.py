@@ -1,6 +1,8 @@
 """Source-operator construction, dilation checks, and trace norms."""
 
+import copy
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -561,19 +563,26 @@ class TestTraceNorm:
             return sketch(m)
 
         monkeypatch.setattr(source_op, "_range_compression", spy)
+        proved = _record_row_proofs(monkeypatch)
         sizes = _record_eigvalsh_sizes(monkeypatch)
         for (d, s), (rows, ranks) in self.LADDER_PATHS.items():
             n = d ** (s + 1)
             for rank, low_rank in ranks.items():
                 sd = schmidt_decompose(_rank_state(rng, d, rank))
                 for build in (build_source_1xs, build_source_sx1):
-                    del compressed[:], sizes[:]
-                    trace_norm(build(sd, s).matrix)
-                    # the fingerprint's rounding may split a class (a few
-                    # more rows), but a rung that lumps stays at most n/2
-                    size, = compressed
-                    assert size == n if rows == n else rows <= size <= n // 2
-                    assert sizes == [size if low_rank is None else low_rank]
+                    op = build(sd, s)
+                    norms = []
+                    for m in (op.matrix, np.array(op.matrix)):
+                        del compressed[:], sizes[:], proved[:]
+                        norms.append(trace_norm(m))
+                        # the fingerprint's rounding may split a class (a few
+                        # more rows), but a rung that lumps stays at most n/2
+                        size, = compressed
+                        assert size == n if rows == n else rows <= size <= n // 2
+                        assert sizes == [size if low_rank is None else low_rank]
+                        # the built matrix carries its class map; a copy is proven
+                        assert proved == ([] if m is op.matrix or rows == n else [n])
+                    assert norms[0] == norms[1]
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -617,10 +626,23 @@ def _lumpable(rng, weights, asymmetry=0.0):
     return core.take(classes, axis=1).take(classes, axis=0), classes
 
 
+def _record_row_proofs(monkeypatch):
+    """Rows of every matrix :func:`source_op._proven_core` is asked to prove."""
+    proved = []
+    prove = source_op._proven_core
+
+    def spy(m, first, classes):
+        proved.append(m.shape[0])
+        return prove(m, first, classes)
+
+    monkeypatch.setattr(source_op, "_proven_core", spy)
+    return proved
+
+
 def _unlumped_trace_norm(monkeypatch, m):
     """``trace_norm`` with lumping switched off: the path every other input takes."""
     with monkeypatch.context() as patch:
-        patch.setattr(source_op, "_lumped", lambda m: None)
+        patch.setattr(source_op, "_lumped", lambda m, built=None: None)
         return trace_norm(m)
 
 
@@ -708,6 +730,42 @@ class TestLumpingGuard:
         assert trace_norm(np.zeros((0, 0))) == 0.0
 
 
+class TestGatheredTag:
+    @staticmethod
+    def _op(d=3, s=4, rank=3, seed=89):
+        return build_source_1xs(schmidt_decompose(_rank_state(np.random.default_rng(seed), d, rank)), s)
+
+    def test_only_the_built_matrix_is_tagged(self):
+        op = self._op()
+        m = op.matrix
+        assert type(m) is source_op._Gathered
+        assert m.built.core is op.core and m.built.classes is op.classes
+        for other in (m[1:], m[:, :5], m.copy(), m.T, m.real, m.reshape(-1), np.array(m),
+                      copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(other) is np.ndarray or other.built is None
+        for result in (m + 0, np.abs(m), m * 2.0, m @ m, m.conj()):
+            assert type(result) is np.ndarray
+        assert type(m.sum()) is np.complex128
+
+    def test_untagged_copy_gives_the_same_bits(self):
+        op = self._op()
+        norm = trace_norm(op.matrix)
+        for other in (np.array(op.matrix), op.matrix.copy(), pickle.loads(pickle.dumps(op.matrix))):
+            assert trace_norm(other) == norm
+
+    def test_non_refining_fingerprint_falls_back(self, monkeypatch):
+        # |00>: 30 builder classes at (3, 3), but all rows save one are zero
+        # and share one fingerprint class, which no builder class holds
+        product = PureState(np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+        op = build_source_1xs(schmidt_decompose(product), 3)
+        assert len(op.core) == 30
+        proved = _record_row_proofs(monkeypatch)
+        norm = trace_norm(op.matrix)
+        assert proved == [81]
+        assert trace_norm(np.array(op.matrix)) == norm == 1.0
+        assert proved == [81, 81]
+
+
 class TestSourceOperatorValidation:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError, match="trace"):
@@ -732,6 +790,17 @@ class TestSourceOperatorValidation:
         assert not op.matrix.flags.writeable
         m[0, 0] = 7.0
         assert op.matrix[0, 0] == 0.25
+
+    def test_arrays_cannot_be_made_writable(self):
+        # a written gathered matrix would no longer be its core's gather, and
+        # verify_dilation reads it as copy-symmetric
+        caller = SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4)
+        built = build_source_1xs(schmidt_decompose(BELL), 2)
+        single = build_source_1xs(schmidt_decompose(BELL), 1)
+        for a in (caller.matrix, caller.core, built.matrix, built.core, built.classes,
+                  single.matrix):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
 
     def test_builder_hands_over_its_matrix(self):
         # one operator is 26.9 MB at d = 6, s = 3; a second copy would double the peak
