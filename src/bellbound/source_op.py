@@ -8,13 +8,17 @@ carried by tensor powers of the four unnormalized projectors onto
 polarization identity recovers ``|e_k><e_k1|``; the operator is Hermitian and
 unit-trace but in general *not* positive.  As every term is a tensor power,
 it is built as a small Hermitian core on the copies' symmetric subspace (one
-coordinate per multiset of indices), validated there and gathered once; its
-trace norm finds that core again in the matrix's repeated rows, checked
-against the class map the gathered matrix carries.
+coordinate per multiset of indices), validated there and gathered once.  Its
+trace norm depends on the Schmidt coefficients alone, since the Schmidt bases
+and the symmetric subspace's embedding are isometries: the gathered matrix
+carries them, and :func:`trace_norm` of it is one real eigenproblem of at
+most ``r + r(r-1)s`` rows (:func:`_schmidt_trace_norm`).  Any other matrix
+has its repeated rows found and proven from its bits.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,17 +66,22 @@ class _Core(NamedTuple):  # a builder's operator: matrix[a, b] = core[classes[a]
     classes: np.ndarray | None  # None for the identity map
 
 
-class _Gathered(np.ndarray):
-    """A built operator's gathered matrix, tagged with the :class:`_Core` it was gathered from.
+class _Schmidt(NamedTuple):  # what the closed-form trace norm of a built matrix needs
+    coefficients: tuple[float, ...]
+    s: int
 
-    Only the array :class:`SourceOperator` tags carries ``built``: NumPy
+
+class _Gathered(np.ndarray):
+    """A built operator's gathered matrix, tagged with the :class:`_Schmidt` data it was built from.
+
+    Only the array :func:`_build_source` tags carries ``schmidt``: NumPy
     copies no instance attribute to a view, copy or unpickled array made
     from it, which reads the class default None, and ufunc and ``@`` results
     are plain arrays.  It is a view of a read-only base, so it cannot be
-    made writable, and its bits stay those of ``built``.
+    made writable, and it stays the operator ``schmidt`` describes.
     """
 
-    built: _Core | None = None
+    schmidt: _Schmidt | None = None
 
     def __array_wrap__(self, arr, context=None, return_scalar=False):
         arr = arr.view(np.ndarray)
@@ -101,10 +110,10 @@ class SourceOperator:
     the copies' classes (:func:`_copy_classes`) and is validated there, and a
     caller's ``matrix`` is copied and is its own core (``classes`` None).
     ``matrix``, ``core`` and ``classes`` are read-only views of read-only
-    arrays, so none of them can be made writable again.  A gathered
-    ``matrix`` (``classes`` not None) carries ``_Core(core, classes)`` with
-    it, so that :func:`trace_norm` of that very array need not prove its
-    repeated rows again.
+    arrays, so none of them can be made writable again.  A builder's
+    gathered ``matrix`` (``classes`` not None) may carry its Schmidt
+    coefficients (:func:`_build_source`), so that :func:`trace_norm` of that
+    very array takes the closed form.
     """
 
     s1: int
@@ -140,7 +149,6 @@ class SourceOperator:
         if classes is not None:
             classes = _frozen(classes)
             m = _frozen(core.take(classes, axis=1).take(classes, axis=0), _Gathered)
-            m.built = _Core(core, classes)
         for name, value in (("matrix", m), ("core", core), ("classes", classes)):
             object.__setattr__(self, name, value)
 
@@ -210,6 +218,37 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
     return ((kets[0].T * weights) @ bras[0].conj()).take(classes, axis=1).take(classes, axis=0)
 
 
+#: Largest relative error the closed-form trace norm of a built matrix may
+#: carry from bases that are not exactly orthonormal (:func:`_closed_form_holds`).
+CLOSED_FORM_RTOL = 1e-14
+
+
+def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
+    """Whether :func:`_schmidt_trace_norm` is the built operator's trace norm to CLOSED_FORM_RTOL.
+
+    The operator is ``T = V M V^H``, with ``M`` the closed form's matrix and
+    ``V`` the Schmidt bases' ``s1``- and ``s2``-fold tensor powers on the
+    copies' symmetric subspace.  The nonzero eigenvalues of ``T`` are those
+    of ``S M S`` for ``S = (V^H V)^(1/2)``, so by Ostrowski's theorem each is
+    ``theta_i lambda_i(M)`` with ``theta_i`` between the extreme eigenvalues
+    of ``V^H V``: those of ``G1^(x)s1 (x) G2^(x)s2`` compressed to a
+    subspace, for the Gram matrices ``Gi`` of the bases' rows.  So with
+    ``delta_i = ||Gi - I||_2``
+
+        | ||T||_1 - ||M||_1 | <= ((1 + delta_1)^s1 (1 + delta_2)^s2 - 1) ||M||_1
+                               <= ((1 + delta)^(s1+s2) - 1) ||M||_1
+
+    for ``delta`` the larger deviation.  True when the middle bound is below
+    ``CLOSED_FORM_RTOL``; bases from :func:`schmidt_decompose` deviate by
+    about 1e-15.
+    """
+    growth = 0.0
+    for basis, s in ((schmidt.left_basis, s1), (schmidt.right_basis, s2)):
+        gram = basis @ basis.conj().T
+        growth += s * math.log1p(float(np.linalg.norm(gram - np.eye(len(gram)), 2)))
+    return math.expm1(growth) < CLOSED_FORM_RTOL
+
+
 def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     """``sum_{k,k1} c_k c_k1 W1(k,k1) (x) W2(k,k1)``, exactly Hermitian from half its terms.
 
@@ -221,7 +260,8 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     ``T = Z + Z^H = [K w, B conj(w)] [B, K]^H`` for ``Z = K diag(w) B^H`` of
     the ``k <= k1`` terms, the diagonal ones weighted 1/2; only the upper
     block triangle is multiplied out.  Cost: O(D^2 * terms / 2) for the
-    products and one O(N^2) gather.
+    products and one O(N^2) gather.  A gathered matrix is tagged with the
+    Schmidt coefficients and the copy count when :func:`_closed_form_holds`.
     """
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
     c, left, right = schmidt.coefficients, schmidt.left_basis, schmidt.right_basis
@@ -249,7 +289,10 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
         block[...] = (block + block.conj().T) / 2.0
         core[after, rows] = core[rows, after].conj().T
     classes = None if size == n else (classes1[:, None] * len(reps2) + classes2).reshape(-1)
-    return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes))
+    op = SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes))
+    if classes is not None and _closed_form_holds(schmidt, s1, s2):
+        op.matrix.schmidt = _Schmidt(tuple(c.tolist()), max(s1, s2))
+    return op
 
 
 def build_source_1xs(schmidt: SchmidtData, s2: int) -> SourceOperator:
@@ -355,21 +398,19 @@ def _proven_core(m: np.ndarray, first: np.ndarray, classes: np.ndarray) -> np.nd
     return reps.take(first, axis=1)
 
 
-def _lumped(m: np.ndarray, built: _Core | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+def _lumped(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """``(core, weights)`` with ``m[a, b] = core[c[a], c[b]]`` exactly, or None.
 
     A fingerprint ``m @ g`` (one real matvec, ``g`` seeded) proposes classes
     ``c`` of rows; it never decides, and rounding that splits a class of
-    equal rows costs only compression.  When ``m`` was gathered from
-    ``built`` and each class ``c`` lies within one of ``built.classes``
-    (checked in O(n)), ``m = P C P^T`` holds by construction and ``core`` is
-    gathered from ``built.core``; otherwise, as when zero rows of several
-    builder classes share a class, :func:`_proven_core` proves it bit for
-    bit.  Either way ``core`` holds the classes' first rows' first columns,
-    bit for bit, and ``weights[c]`` the rows in class ``c``.  None unless
-    this holds with at most ``n / 2`` classes, and for a non-contiguous
-    input, a non-finite fingerprint (a NaN, an infinite entry or an
-    overflow) or a core whose scaling by the weights could overflow.
+    equal rows costs only compression.  :func:`_proven_core` then proves the
+    classes bit for bit, so ``core`` holds the classes' first rows' first
+    columns and ``weights[c]`` the rows in class ``c``.  None unless this
+    holds with at most ``n / 2`` classes, and for a non-contiguous input, a
+    non-finite fingerprint (a NaN, an infinite entry or an overflow) or a
+    core whose scaling by the weights could overflow.  A tagged built matrix
+    never gets here (:func:`trace_norm`); its copies, JSON read-backs and
+    caller matrices do.
     """
     n = m.shape[0]
     if n < 2 or not m.flags.c_contiguous:
@@ -382,38 +423,92 @@ def _lumped(m: np.ndarray, built: _Core | None = None) -> tuple[np.ndarray, np.n
     _, first, classes = np.unique(key, return_index=True, return_inverse=True)
     if 2 * len(first) > n:
         return None
-    core = None
-    if built is not None:
-        to_built = built.classes[first]
-        if np.array_equal(to_built[classes], built.classes):
-            core = built.core.take(to_built, axis=0).take(to_built, axis=1)
+    core = _proven_core(m, first, classes)
     if core is None:
-        core = _proven_core(m, first, classes)
-        if core is None:
-            return None
+        return None
     weights = np.bincount(classes)
     if np.max(np.abs(core.view(float))) > np.finfo(float).max / 2.0 / weights.max():
         return None
     return core, weights
 
 
+@lru_cache(maxsize=64)
+def _closed_form_pattern(r: int, s: int) -> tuple:
+    """Where :func:`_schmidt_trace_norm` puts its entries at rank ``r`` and ``s`` copies.
+
+    Returns ``(k, k1, rows, cols, weights, size)``: entry
+    ``(rows[p, q], cols[p, q])`` of the ``size x size`` matrix ``M`` is
+    ``c[k[p]] c[k1[p]] weights[q]``, for the pairs ``k[p] < k1[p]``.
+    """
+    m, m1 = np.nonzero((np.arange(s + 1) - np.arange(s + 1)[:, None]) % 4 == 1)
+    b = np.array([math.comb(s, i) / 2**s for i in range(s + 1)])
+    k, k1 = np.triu_indices(r, 1)
+
+    def row(k, k1, m):  # (k, {k^(s-m) k1^m}); m = 0 is k's row (k, {k^s})
+        return np.where(m == 0, k, r + (k * (r - 1) + k1 - (k1 > k)) * s + m - 1)
+
+    rows, cols = row(k[:, None], k1[:, None], m), row(k1[:, None], k[:, None], s - m1)
+    reached = np.zeros(r + r * (r - 1) * s, dtype=bool)
+    reached[:r] = reached[rows] = reached[cols] = True
+    label = np.cumsum(reached) - 1
+    out = k, k1, label[rows], label[cols], 2.0 * np.sqrt(b[m] * b[m1])
+    for a in out:
+        a.setflags(write=False)
+    return out + (int(label[-1]) + 1,)
+
+
+def _schmidt_trace_norm(c, s: int) -> float:
+    """Trace norm of the one-sided ``s``-copy source operator of Schmidt coefficients ``c``.
+
+    In Schmidt coordinates, on the single copy's index ``j`` and an
+    orthonormal basis of the copies' symmetric subspace (one vector per
+    multiset, weighted by the square root of its multiplicity), the
+    operator is a real symmetric ``M``: the polarized term of a pair
+    ``k < k1`` is ``sum_p p / 2^(s+1) (e_k + p e_k1)^(x)s (...)^H``, and its
+    entry between the multisets ``{k^(s-m) k1^m}`` and ``{k^(s-m') k1^m'}``
+    sums ``p^(1+m-m')`` over ``p`` in ``±1, ±i``, which is 4 if
+    ``m' - m = 1 (mod 4)`` and 0 otherwise.  So
+
+        M[(k, {k^s}), (k, {k^s})] = c_k^2,
+        M[(k, {k^(s-m) k1^m}), (k1, {k^(s-m') k1^m'})] = c_k c_k1 2^(1-s) sqrt(C(s,m) C(s,m'))
+
+    for ``m' - m = 1 (mod 4)``, and its transpose; ``1xs`` and ``sx1`` give
+    the same ``M``.  Its rows are ``(k, {k^s})`` and ``(k, {k^(s-m) k1^m})``
+    for ``k1 != k`` and ``m`` in ``1..s``, enumerated directly (O(r^2 s^2)
+    entries, :func:`_closed_form_pattern`); those no entry reaches (some at
+    ``s <= 2``) are dropped, so ``M`` has at most ``r + r(r-1)s`` rows for
+    Schmidt rank ``r``.  The binomial weights ``C(s, m) / 2^s`` are integer
+    quotients rounded once, so no ``s`` overflows them.
+    """
+    c = np.asarray(c, dtype=float)
+    r = len(c)
+    k, k1, rows, cols, weights, size = _closed_form_pattern(r, s)
+    out = np.zeros((size, size))
+    out[rows, cols] = out[cols, rows] = np.outer(c[k] * c[k1], weights)
+    out[np.arange(r), np.arange(r)] = c * c
+    return float(np.sum(np.abs(np.linalg.eigvalsh(out))))
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix.
+
+    A built operator's ``matrix`` itself carries its Schmidt coefficients
+    and copy count, and gets :func:`_schmidt_trace_norm`: one real
+    eigenproblem of at most ``r + r(r-1)s`` rows, exact up to
+    ``CLOSED_FORM_RTOL`` relative (:func:`_closed_form_holds`).  Any other
+    array, a copy of that matrix included, takes the path below.
 
     The eigenvalues are those of ``(m + m^H) / 2``; an exactly Hermitian
     input, such as every :class:`SourceOperator` matrix, is not copied.
 
     An input whose rows and columns repeat exactly, as a multi-copy source
     operator's do, is ``m = P C P^T`` for a class indicator ``P`` with
-    ``P^T P = diag(w)``.  When :func:`_lumped` shows that with at most
+    ``P^T P = diag(w)``.  When :func:`_lumped` proves that with at most
     ``n / 2`` classes, everything below runs on ``D x D`` matrices: the
     Hermitian check on ``C``, which holds every entry of ``m`` and so gives
     the same verdict and message, and the eigenvalues on
     ``sqrt(w) C sqrt(w)``, which has the nonzero spectrum of ``m``.  Any
-    other input takes the path below unchanged, bit for bit.  A built
-    operator's ``matrix`` itself carries its class map, which spares
-    :func:`_lumped` its proof over all ``n^2`` entries; any other array,
-    a copy of that matrix included, is proven, with the same result bits.
+    other input takes the path below unchanged, bit for bit.
 
     A numerically low-rank input is compressed to its certified range first
     (:func:`_range_compression`): O(n^2 k) for a final sketch width ``k``,
@@ -422,11 +517,12 @@ def trace_norm(matrix: np.ndarray) -> float:
     inputs the compression refuses take the dense ``eigvalsh``.  The sketch
     is seeded, so repeated calls agree bit for bit.
     """
-    built = matrix.built if type(matrix) is _Gathered else None  # np.asarray drops it
+    if type(matrix) is _Gathered and matrix.schmidt is not None:
+        return _schmidt_trace_norm(*matrix.schmidt)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    lumped = _lumped(m, built)
+    lumped = _lumped(m)
     if lumped is not None:
         m, weights = lumped
     herm = check_hermitian(m, "trace norm input", HERM_ATOL_TRACE_NORM)

@@ -25,6 +25,8 @@ CASES = {
     "source_op_phi_plus_2": ["source-op", "--input", "phi_plus.json", "--s2", "2"],
     # N = 729: the operator spans more than one row block of its build
     "source_op_dense_3x3_5": ["source-op", "--input", "dense_3x3.json", "--s2", "5"],
+    # the sx1 builder, N = 243
+    "source_op_dense_3x3_s1_4": ["source-op", "--input", "dense_3x3.json", "--s1", "4"],
 }
 
 

@@ -501,11 +501,12 @@ class TestTraceNorm:
 
     def test_path_follows_numerical_rank(self, monkeypatch):
         rng = np.random.default_rng(17)
-        ladder = build_source_1xs(schmidt_decompose(_rank_state(rng, 2, 2)), 6).matrix
+        # copies: a built matrix itself takes the closed form
+        ladder = np.array(build_source_1xs(schmidt_decompose(_rank_state(rng, 2, 2)), 6).matrix)
         g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         full = (g + g.conj().T) / 2.0
         # the benchmark's smoke sizes: N = 8 and 27 at full Schmidt rank
-        smoke = [build_source_sx1(schmidt_decompose(_rank_state(rng, d, d)), 2).matrix
+        smoke = [np.array(build_source_sx1(schmidt_decompose(_rank_state(rng, d, d)), 2).matrix)
                  for d in (2, 3)]
         sizes = _record_eigvalsh_sizes(monkeypatch)
         for m in [ladder, full] + smoke:
@@ -555,34 +556,60 @@ class TestTraceNorm:
 
     def test_ladder_rungs_pin_the_path(self, monkeypatch):
         rng = np.random.default_rng(37)
-        compressed = []
-        sketch = source_op._range_compression
+        compressed, lumped, checked = [], [], []
+        sketch, lump = source_op._range_compression, source_op._lumped
+        check = source_op.check_hermitian
 
-        def spy(m):
+        def sketch_spy(m):
             compressed.append(m.shape[0])
             return sketch(m)
 
-        monkeypatch.setattr(source_op, "_range_compression", spy)
+        def lump_spy(m):
+            lumped.append(m.shape[0])
+            return lump(m)
+
+        def check_spy(m, *args, **kwargs):
+            checked.append(m.shape[0])
+            return check(m, *args, **kwargs)
+
+        monkeypatch.setattr(source_op, "_range_compression", sketch_spy)
+        monkeypatch.setattr(source_op, "_lumped", lump_spy)
+        monkeypatch.setattr(source_op, "check_hermitian", check_spy)
         proved = _record_row_proofs(monkeypatch)
         sizes = _record_eigvalsh_sizes(monkeypatch)
+        untagged = 0
         for (d, s), (rows, ranks) in self.LADDER_PATHS.items():
             n = d ** (s + 1)
             for rank, low_rank in ranks.items():
                 sd = schmidt_decompose(_rank_state(rng, d, rank))
                 for build in (build_source_1xs, build_source_sx1):
                     op = build(sd, s)
+                    tagged = op.matrix.schmidt is not None
+                    assert tagged == source_op._closed_form_holds(sd, op.s1, op.s2)
+                    untagged += not tagged
                     norms = []
                     for m in (op.matrix, np.array(op.matrix)):
-                        del compressed[:], sizes[:], proved[:]
+                        del compressed[:], lumped[:], checked[:], sizes[:], proved[:]
                         norms.append(trace_norm(m))
+                        if m is op.matrix and tagged:
+                            # its Schmidt data: one real eigvalsh of at most
+                            # r + r(r-1)s rows, and nothing else
+                            assert compressed == lumped == checked == proved == []
+                            assert len(sizes) == 1
+                            assert sizes[0] <= rank + rank * (rank - 1) * s
+                            continue
                         # the fingerprint's rounding may split a class (a few
                         # more rows), but a rung that lumps stays at most n/2
                         size, = compressed
                         assert size == n if rows == n else rows <= size <= n // 2
                         assert sizes == [size if low_rank is None else low_rank]
-                        # the built matrix carries its class map; a copy is proven
-                        assert proved == ([] if m is op.matrix or rows == n else [n])
-                    assert norms[0] == norms[1]
+                        # an untagged matrix, a copy included, is proven
+                        assert proved == ([] if rows == n else [n])
+                    assert abs(norms[0] - norms[1]) <= 1e-13 * norms[1]
+        # the guard keeps the tag from one of these 32 operators: the (2, 7)
+        # rank-2 sx1 bases deviate by ~1.3e-15, and 8 copies' worth of that
+        # bounds the closed form's error just above CLOSED_FORM_RTOL
+        assert untagged == 1
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -593,17 +620,20 @@ class TestTraceNorm:
         rank = data.draw(st.integers(1, d), label="rank")
         build = data.draw(st.sampled_from([build_source_1xs, build_source_sx1]), label="builder")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        op = build(schmidt_decompose(_rank_state(rng, d, rank)), s)
+        sd = schmidt_decompose(_rank_state(rng, d, rank))
+        op = build(sd, s)
         norm = trace_norm(op.matrix)
         want = _dense_trace_norm(op.matrix)
         assert abs(norm - want) <= 1e-13 * want
         back = source_operator_from_json(source_operator_to_json(op))
         assert np.array_equal(back.matrix.view(np.uint64), op.matrix.view(np.uint64))
-        assert trace_norm(back.matrix) == norm
+        assert abs(trace_norm(back.matrix) - norm) <= 1e-13 * norm
+        mirror = {build_source_1xs: build_source_sx1, build_source_sx1: build_source_1xs}[build]
+        assert abs(trace_norm(mirror(sd, s).matrix) - norm) <= 1e-14 * norm
 
     def test_compression_stays_below_one_operator(self):
         sd = schmidt_decompose(_rank_state(np.random.default_rng(23), 6, 6))
-        m = build_source_1xs(sd, 3).matrix
+        m = np.array(build_source_1xs(sd, 3).matrix)  # a copy: the built matrix needs no core
         tracemalloc.start()
         try:
             trace_norm(m)
@@ -611,6 +641,50 @@ class TestTraceNorm:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_schmidt_trace_norm_properties(self, data):
+        # past the size guard: nothing is built, only the closed form's matrix
+        r = data.draw(st.integers(1, 4), label="rank")
+        logs = data.draw(st.lists(st.floats(-14.0, 0.0), min_size=r, max_size=r), label="log c")
+        c = np.sort(np.exp(logs))[::-1]
+        c /= np.linalg.norm(c)
+        bound = 2.0 * float(np.sum(c)) ** 2 - 1.0
+        norms = [source_op._schmidt_trace_norm(c, s) for s in range(1, 31)]
+        assert abs(norms[0] - float(np.sum(c * c))) <= 1e-14
+        # a partial trace over one copy maps T_(s+1) to T_s, and cannot raise the norm
+        for low, high in zip(norms, norms[1:]):
+            assert high >= low - 1e-13 * low
+        assert max(norms) <= bound + 1e-12
+
+    def test_one_sided_size(self, monkeypatch):
+        c = np.sqrt([0.4, 0.3, 0.2, 0.1])
+        sizes = _record_eigvalsh_sizes(monkeypatch)
+        for s in (1, 2, 3, 30):
+            source_op._schmidt_trace_norm(c, s)
+        # at s <= 2 the rows no entry reaches are dropped
+        assert sizes == [4, 4 + 12, 4 + 12 * 3, 4 + 12 * 30]
+
+    def test_guard_keeps_near_orthonormal_bases_exact(self, monkeypatch):
+        # Gram deviation 5e-11, within what SchmidtData accepts: the closed
+        # form would be off by far more than 1e-13, so the matrix stays untagged
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(97), 4, 4))
+        left = np.array(sd.left_basis)
+        left[0] *= 1.0 + 2.5e-11
+        skewed = qstate.SchmidtData(coefficients=sd.coefficients, rank=sd.rank, left_basis=left,
+                                    right_basis=sd.right_basis, truncation_tol=sd.truncation_tol)
+        op = build_source_1xs(skewed, 4)
+        assert op.matrix.schmidt is None
+        proved = _record_row_proofs(monkeypatch)
+        want = _dense_trace_norm(np.array(op.matrix))
+        assert abs(trace_norm(op.matrix) - want) <= 1e-13 * want
+        assert proved == [1024]
+        assert abs(source_op._schmidt_trace_norm(sd.coefficients, 4) - want) > 1e-13 * want
+        # the same data with its own bases is tagged
+        assert build_source_1xs(sd, 4).matrix.schmidt is not None
 
 
 def _lumpable(rng, weights, asymmetry=0.0):
@@ -642,7 +716,7 @@ def _record_row_proofs(monkeypatch):
 def _unlumped_trace_norm(monkeypatch, m):
     """``trace_norm`` with lumping switched off: the path every other input takes."""
     with monkeypatch.context() as patch:
-        patch.setattr(source_op, "_lumped", lambda m, built=None: None)
+        patch.setattr(source_op, "_lumped", lambda m: None)
         return trace_norm(m)
 
 
@@ -739,30 +813,37 @@ class TestGatheredTag:
         op = self._op()
         m = op.matrix
         assert type(m) is source_op._Gathered
-        assert m.built.core is op.core and m.built.classes is op.classes
+        sd = schmidt_decompose(_rank_state(np.random.default_rng(89), 3, 3))
+        assert m.schmidt == (tuple(sd.coefficients), 4)
         for other in (m[1:], m[:, :5], m.copy(), m.T, m.real, m.reshape(-1), np.array(m),
                       copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-            assert type(other) is np.ndarray or other.built is None
+            assert type(other) is np.ndarray or other.schmidt is None
         for result in (m + 0, np.abs(m), m * 2.0, m @ m, m.conj()):
             assert type(result) is np.ndarray
         assert type(m.sum()) is np.complex128
 
     def test_untagged_copy_gives_the_same_bits(self):
+        # copies give one another's bits, and the closed form within 1e-13
         op = self._op()
         norm = trace_norm(op.matrix)
-        for other in (np.array(op.matrix), op.matrix.copy(), pickle.loads(pickle.dumps(op.matrix))):
-            assert trace_norm(other) == norm
+        copied = [trace_norm(other) for other in
+                  (np.array(op.matrix), op.matrix.copy(), pickle.loads(pickle.dumps(op.matrix)))]
+        assert copied[0] == copied[1] == copied[2]
+        assert abs(copied[0] - norm) <= 1e-13 * norm
 
     def test_non_refining_fingerprint_falls_back(self, monkeypatch):
         # |00>: 30 builder classes at (3, 3), but all rows save one are zero
-        # and share one fingerprint class, which no builder class holds
+        # and share one fingerprint class, which no builder class holds; its
+        # copies are proven on those classes, the built matrix needs no proof
         product = PureState(np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
         op = build_source_1xs(schmidt_decompose(product), 3)
         assert len(op.core) == 30
-        proved = _record_row_proofs(monkeypatch)
         norm = trace_norm(op.matrix)
+        proved = _record_row_proofs(monkeypatch)
+        copied = trace_norm(np.array(op.matrix))
         assert proved == [81]
-        assert trace_norm(np.array(op.matrix)) == norm == 1.0
+        assert abs(copied - norm) <= 1e-13 * norm and copied == 1.0
+        assert trace_norm(op.matrix.copy()) == copied
         assert proved == [81, 81]
 
 
