@@ -23,8 +23,8 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import (HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, PureState,
-                     check_hermitian, schmidt_decompose)
+from .qstate import (_HERM_GROUP, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL,
+                     PureState, check_hermitian, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -132,12 +132,76 @@ def _validated_setting(povm, where: str, dim: int | None) -> list[np.ndarray]:
     return elements
 
 
+def _checked_site(povms, site_no: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """A site validated setting by setting; raises the first failure by name."""
+    dim = None
+    site_out = []
+    for s, povm in enumerate(povms):
+        if len(povm) < 2:
+            raise ValidationError(f"site {site_no} setting {s}: POVM needs >= 2 elements")
+        elements = _validated_setting(povm, f"site {site_no} setting {s}", dim)
+        dim = elements[0].shape[0]
+        total = sum(elements)
+        dev = float(np.max(np.abs(total - np.eye(dim))))
+        if dev > POVM_SUM_ATOL:
+            raise ValidationError(
+                f"site {site_no} setting {s}: POVM elements do not sum to "
+                f"identity (max deviation {dev:.3e})"
+            )
+        site_out.append(tuple(elements))
+    return tuple(site_out)
+
+
+def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """A site whose settings stack to one ``(s, m, d, d)`` array, validated at once.
+
+    The site is copied once.  For each group of consecutive settings of at
+    most ``_HERM_GROUP`` entries (one setting if a setting alone is larger),
+    m - 1 additions over the group check its settings' sums, adding in the
+    order of ``sum(elements)``, and one
+    :func:`~bellbound.qstate.check_hermitian` call certifies its elements.
+    Returns the settings as read-only views of the copy, or None when the
+    settings do not stack, a setting has fewer than 2 elements, or any check
+    fails: the per-setting loop then decides and names the failure.
+    """
+    try:
+        stack = np.array(povms, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        return None  # ragged or not numeric
+    if stack.ndim != 4 or stack.shape[1] < 2 or not stack.shape[2] == stack.shape[3] > 0:
+        return None
+    n_settings, m, dim = stack.shape[:3]
+    eye = np.eye(dim)
+    per_group = max(1, _HERM_GROUP // stack[0].size)
+    for first in range(0, n_settings, per_group):
+        group = stack[first:first + per_group]
+        # the elements are not validated yet: a NaN or infinite entry passes
+        # or fails here quietly, and check_hermitian refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = group[:, 0] + group[:, 1]
+            for a in range(2, m):
+                total += group[:, a]
+            dev = np.abs(total - eye).max(axis=(1, 2))
+        if np.any(dev > POVM_SUM_ATOL):
+            return None
+        try:
+            check_hermitian(group.reshape(-1, dim, dim), "site", HERM_ATOL_POVM, psd=True)
+        except ValidationError:
+            return None
+    stack.setflags(write=False)
+    return tuple(tuple(povm) for povm in stack)
+
+
 @dataclass(frozen=True)
 class Assemblage:
     """Per-site, per-setting POVMs compatible with a (d1, d2) state.
 
-    Each setting is validated by one :func:`~bellbound.qstate.check_hermitian`
-    call on the stack of its elements, which are read-only views of it.
+    A site whose settings stack to one ``(s, m, d, d)`` array is validated by
+    one :func:`~bellbound.qstate.check_hermitian` call per group of settings
+    (:func:`_stacked_site`), and its elements are read-only views of one
+    copy.  Any other site, and any site that fails there, is validated
+    setting by setting, one call on the stack of each setting's elements,
+    and that loop alone names a failure.
     """
 
     site1: tuple[tuple[np.ndarray, ...], ...]
@@ -148,24 +212,8 @@ class Assemblage:
         for site_no, povms in ((1, self.site1), (2, self.site2)):
             if len(povms) < 1:
                 raise ValidationError(f"site {site_no} needs at least one POVM")
-            dim = None
-            site_out = []
-            for s, povm in enumerate(povms):
-                if len(povm) < 2:
-                    raise ValidationError(
-                        f"site {site_no} setting {s}: POVM needs >= 2 elements"
-                    )
-                elements = _validated_setting(povm, f"site {site_no} setting {s}", dim)
-                dim = elements[0].shape[0]
-                total = sum(elements)
-                dev = float(np.max(np.abs(total - np.eye(dim))))
-                if dev > POVM_SUM_ATOL:
-                    raise ValidationError(
-                        f"site {site_no} setting {s}: POVM elements do not sum to "
-                        f"identity (max deviation {dev:.3e})"
-                    )
-                site_out.append(tuple(elements))
-            frozen.append(tuple(site_out))
+            site = _stacked_site(povms)
+            frozen.append(_checked_site(povms, site_no) if site is None else site)
         object.__setattr__(self, "site1", frozen[0])
         object.__setattr__(self, "site2", frozen[1])
 
@@ -235,7 +283,12 @@ def _enumerate_extrema(phi: np.ndarray):
     m^k strategies cost about m/(m-1) * m^k row additions, not k * m^k.  When
     m_in^s_in exceeds ``_CHUNK``, leading settings are fixed in turn and each
     block enumerates the rest.  Every row still adds its slices from setting
-    0 upwards, so each strategy's sums are those of summing it alone.
+    0 upwards, so each strategy's sums are those of summing it alone.  The
+    best responses take the elementwise maximum (minimum) of the m_out
+    outcome slices, one call per outcome over every row at once: a max over
+    the 2-4-long outcome axis would spend most of the call in NumPy's
+    per-row reduction overhead.  Max and min are exact, so every extremum
+    and witness is the one the axis reduction gives.
     Returns (sup, sup_inner, sup_outer, inf, inf_inner, inf_outer).
     """
     s_out, m_out, s_in, m_in = phi.shape
@@ -255,8 +308,12 @@ def _enumerate_extrema(phi: np.ndarray):
         tables = slices[0]
         for rows in slices[1:]:
             tables = (tables[:, None] + rows).reshape(-1, s_out, m_out)
-        sups = tables.max(axis=2).sum(axis=1)
-        infs = tables.min(axis=2).sum(axis=1)
+        hi = lo = tables[..., 0]
+        for a in range(1, m_out):
+            hi = np.maximum(hi, tables[..., a])
+            lo = np.minimum(lo, tables[..., a])
+        sups = hi.sum(axis=1)
+        infs = lo.sum(axis=1)
         k = int(np.argmax(sups))
         if sups[k] > best_sup:
             best_sup = float(sups[k])
@@ -513,8 +570,11 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     dimension bound (slack 1e-6).  Also reports the interval that must
     contain every quantum value of the functional and whether ``value`` lies
     inside it, with a float slack of ``1e-9 * max(1, sum |phi|)``, the scale
-    of the see-saw's guard.
+    of the see-saw's guard.  A NaN or infinite ``value`` raises
+    :class:`ValidationError`.
     """
+    if not math.isfinite(value):
+        raise ValidationError(f"claimed quantum value must be finite, got {value!r}")
     ext = lhv_extrema(f)
     if abs(ext.b_lhv) < LHV_ZERO_ATOL:
         raise DegeneracyError(

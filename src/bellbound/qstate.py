@@ -40,6 +40,13 @@ def _frozen_complex(a) -> np.ndarray:
 #: 128 scanned N = 729 to 1296 faster than 256.
 _HERM_BLOCK = 128
 
+#: Matrix entries per :func:`check_hermitian` call on a group of POVM
+#: settings (``bell._stacked_site``).  2^13 complex entries (128 KiB) keep
+#: the call's temporaries small: per job of 4 to 22 settings it beat 2^12,
+#: 2^14 and 2^15 at d = 32.  At d = 96 one setting is larger, so each is its
+#: own group; four elements a call there cost more per element than one.
+_HERM_GROUP = 1 << 13
+
 #: Shift of the Cholesky PSD certificate in :func:`_psd_certified`.
 _PSD_SHIFT = PSD_ATOL / 2.0
 
@@ -91,7 +98,8 @@ def _psd_certified(m: np.ndarray, exact: bool) -> bool:
     2 n(n+1) u times that to be at most PSD_ATOL/2, so a completed
     factorization proves lambda_min(H) >= -PSD_ATOL.  The gate is needed
     because no check before this one bounds the norms (a POVM's
-    sum-to-identity check comes after it).  Valid POVMs pass it up to about
+    sum-to-identity check bounds them only once its elements are PSD).
+    Valid POVMs pass it up to about
     n = 128, density operators up to at least n = 470.  A norm that
     overflows to inf fails the gate; the caller silences that overflow.
     """
@@ -282,14 +290,14 @@ def schmidt_decompose(
     coeffs = s[keep].copy()
     left = np.ascontiguousarray(u[:, keep].T)
     right = np.ascontiguousarray(vh[keep, :])
-    for k in range(rank):
-        sig = np.flatnonzero(np.abs(left[k]) > 1e-12)
-        if len(sig) == 0:  # cannot happen for unit vectors; defensive
-            continue
-        pivot = left[k, sig[0]]
-        phase = pivot / abs(pivot)
-        left[k] *= np.conj(phase)
-        right[k] *= phase
+    sig = np.abs(left) > 1e-12
+    rows = np.flatnonzero(sig.any(axis=1))  # all rows of unit vectors; defensive
+    pivots = left[rows, sig[rows].argmax(axis=1)]
+    # np.hypot rounds as the scalar abs(pivot) does; np.abs of a complex
+    # array need not, so the bases would differ in the last bit
+    phases = pivots / np.hypot(pivots.real, pivots.imag)
+    left[rows] *= phases.conj()[:, None]
+    right[rows] *= phases[:, None]
     return SchmidtData(
         coefficients=coeffs,
         rank=rank,

@@ -128,6 +128,29 @@ def brute_force_lhv(f):
     return sup, (a_max, b_max), inf, (a_min, b_min)
 
 
+def reference_schmidt_bases(amplitudes, truncation_tol=1e-12):
+    """Schmidt coefficients and bases by SVD with one phase fix per vector, in a loop.
+
+    Each kept left vector is rotated so its first entry of magnitude above
+    1e-12 is real and positive, with the compensating phase on the right
+    vector; a vector with no such entry is left as it is.  Returns
+    (coefficients, left_basis, right_basis) as ``schmidt_decompose`` should.
+    """
+    u, s, vh = np.linalg.svd(amplitudes, full_matrices=False)
+    keep = s > truncation_tol
+    left = np.ascontiguousarray(u[:, keep].T)
+    right = np.ascontiguousarray(vh[keep, :])
+    for k in range(len(left)):
+        sig = np.flatnonzero(np.abs(left[k]) > 1e-12)
+        if len(sig) == 0:
+            continue
+        pivot = left[k, sig[0]]
+        phase = pivot / abs(pivot)
+        left[k] *= np.conj(phase)
+        right[k] *= phase
+    return s[keep], left, right
+
+
 def reference_assemblage(site1, site2):
     """Per-element POVM validation, written out without the library's checks.
 

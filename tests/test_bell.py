@@ -168,7 +168,8 @@ class TestLhvExtrema:
         # force the loop over leading settings
         s1, s2, m1, m2 = data.draw(hst.sampled_from(
             [(2, 2, 2, 2), (3, 2, 2, 3), (9, 2, 2, 2), (2, 9, 2, 2), (9, 2, 2, 3),
-             (4, 3, 3, 3), (2, 5, 2, 3), (1, 3, 4, 2)]), label="shape")
+             (4, 3, 3, 3), (2, 5, 2, 3), (1, 3, 4, 2), (2, 3, 5, 2), (3, 2, 2, 5)]),
+            label="shape")
         integer = data.draw(hst.booleans(), label="integer weights")
         scale = 10.0 ** data.draw(hst.sampled_from([-6, 0, 3, 7, 9]), label="log10 scale")
         chunk = data.draw(hst.sampled_from([1, 5, 16, bell_module._CHUNK]), label="chunk")
@@ -335,6 +336,22 @@ def _validated_or_error(build):
         return str(exc)
 
 
+def _assert_matches_reference(sites):
+    """Same verdict, same first message and the same read-only arrays as the reference."""
+    want = _validated_or_error(lambda: reference_assemblage(*sites))
+    got = _validated_or_error(lambda: Assemblage(*sites))
+    if isinstance(want, str):
+        assert got == want
+        return
+    got = (got.site1, got.site2)
+    assert [[len(p) for p in site] for site in got] == [[len(p) for p in site] for site in want]
+    for site_got, site_want in zip(got, want):
+        for povm_got, povm_want in zip(site_got, site_want):
+            for e_got, e_want in zip(povm_got, povm_want):
+                assert np.array_equal(e_got, e_want)
+                assert not e_got.flags.writeable
+
+
 class TestAssemblageValidation:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=hst.data())
@@ -347,33 +364,57 @@ class TestAssemblageValidation:
             d = data.draw(hst.integers(1, 4), label=f"{site} dimension")
             n = data.draw(hst.integers(1, 3), label=f"{site} settings")
             sites.append(tuple(tuple(_assemblage_setting(data, rng, d)) for _ in range(n)))
-        want = _validated_or_error(lambda: reference_assemblage(*sites))
-        got = _validated_or_error(lambda: Assemblage(*sites))
-        if isinstance(want, str):
-            assert got == want
-            return
-        got = (got.site1, got.site2)
-        assert [[len(p) for p in site] for site in got] == [[len(p) for p in site] for site in want]
-        for site_got, site_want in zip(got, want):
-            for povm_got, povm_want in zip(site_got, site_want):
-                for e_got, e_want in zip(povm_got, povm_want):
-                    assert np.array_equal(e_got, e_want)
-                    assert not e_got.flags.writeable
+        _assert_matches_reference(sites)
+
+    @pytest.mark.parametrize("d", [32, 96])
+    @pytest.mark.parametrize("spoils", [
+        {},
+        {(0, 9): "non_psd"},
+        {(1, 6): "asymmetric"},
+        {(1, 3): "sum"},
+        {(0, 2): "sum", (0, 5): "asymmetric", (0, 9): "non_psd"},
+        {(0, 9): "non_psd", (1, 0): "sum"},
+    ])
+    def test_large_sites_match_reference(self, d, spoils):
+        # 10 two-outcome settings a site: at d = 32 they form check groups
+        # of 4, 4 and 2 settings, at d = 96 one setting each; every spoiled
+        # setting fails exactly one check
+        rng = np.random.default_rng(d)
+        sites = []
+        for site in (0, 1):
+            settings = []
+            for s in range(10):
+                povm = random_povm(rng, d, 2)
+                kind = spoils.get((site, s))
+                if kind == "non_psd":
+                    povm = _povm_with_min_eigenvalue(rng, d, 2, -1e-3)[::-1]
+                elif kind == "asymmetric":  # the sum stays the identity
+                    povm[0][1, 0] += 2e-10
+                    povm[1][1, 0] -= 2e-10
+                elif kind == "sum":
+                    povm = [(1.0 + 1e-9) * e for e in povm]
+                settings.append(tuple(povm))
+            sites.append(tuple(settings))
+        _assert_matches_reference(sites)
 
     _count_lapack = staticmethod(count_lapack)
 
     @pytest.mark.parametrize("d", [2, 32, 96])
     def test_one_cholesky_per_setting(self, d, monkeypatch):
+        # one Cholesky per group of settings of at most 2^13 entries: each
+        # site is one group below d = 96, and each setting its own group there
+        groups = 5 if d == 96 else 2
         rng = np.random.default_rng(d)
         site1 = tuple(tuple(random_povm(rng, d, 3)) for _ in range(2))
         site2 = tuple(tuple(random_povm(rng, d, 2)) for _ in range(3))
         calls = self._count_lapack(monkeypatch)
         asm = Assemblage(site1, site2)
-        assert calls == {"cholesky": 5, "eigvalsh": 0}
-        # each setting's elements are read-only views of one stack
-        for povm in asm.site1 + asm.site2:
-            assert all(e.base is povm[0].base for e in povm)
-            assert not povm[0].base.flags.writeable
+        assert calls == {"cholesky": groups, "eigvalsh": 0}
+        # every element of a site is a read-only view of the site's one copy
+        for site in (asm.site1, asm.site2):
+            for povm in site:
+                assert all(e.base is site[0][0].base for e in povm)
+                assert not povm[0].base.flags.writeable
 
     def test_uncertified_setting_falls_back(self, monkeypatch):
         # lambda_min = -0.9 PSD_ATOL: the shifted Cholesky fails, eigvalsh accepts
@@ -684,6 +725,12 @@ class TestCertify:
             f = BellFunctional(g.outcomes1, g.outcomes2, 10 ** rng.uniform(6, 9) * g.phi)
             value, _ = seesaw_maximize(f, st, restarts=2, max_iters=50, seed=k)
             assert certify(f, st, value).value_in_band
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, value):
+        with pytest.raises(ValidationError) as err:
+            certify(chsh_functional(), BELL, value)
+        assert str(err.value) == f"claimed quantum value must be finite, got {value!r}"
 
     def test_degenerate_functional(self):
         f = _correlation_functional(np.zeros((2, 2)))

@@ -273,6 +273,16 @@ class TestViolateCommand:
         assert report["certified"] is False
         assert report["ratio"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_refused(self, capsys, bell_file, value):
+        # "--value=-inf": argparse takes a separate "-inf" for an option
+        code, out, err = run(capsys, [
+            "violate", "--functional", "chsh", "--input", bell_file, f"--value={value}",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: claimed quantum value must be finite, got {float(value)!r}\n"
+
     def test_product_state_certifies_trivially(self, capsys, product_file):
         code, out, _ = run(capsys, [
             "violate", "--functional", "chsh", "--input", product_file,

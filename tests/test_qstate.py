@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from bellbound import (
@@ -24,7 +26,8 @@ from bellbound import (
     trace_norm,
 )
 from bellbound.qstate import PSD_ATOL
-from helpers import count_lapack, random_pure_state, random_unit_vector
+from helpers import (count_lapack, random_pure_state, random_unit_vector,
+                     reference_schmidt_bases)
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
 PRODUCT = PureState(np.array([[1, 0], [0, 0]], dtype=complex))
@@ -199,6 +202,27 @@ class TestSchmidtDecompose:
             pivot = row[np.flatnonzero(np.abs(row) > 1e-12)[0]]
             assert abs(pivot.imag) < 1e-14
             assert pivot.real > 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_bases_match_phase_loop_bitwise(self, data):
+        # rank-deficient states, and states whose first site-1 levels carry
+        # amplitudes at or below 1e-12, so that pivots sit past the leading
+        # entries of the left vectors
+        sizes = hst.sampled_from([1, 2, 3, 5, 8, 13, 32, 96])
+        d1, d2 = data.draw(sizes, label="d1"), data.draw(sizes, label="d2")
+        rank = data.draw(hst.integers(1, min(d1, d2)), label="rank")
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+        amp = ((rng.standard_normal((d1, rank)) + 1j * rng.standard_normal((d1, rank)))
+               @ (rng.standard_normal((rank, d2)) + 1j * rng.standard_normal((rank, d2))))
+        faint = data.draw(hst.integers(0, d1 - 1), label="faint levels")
+        amp[:faint] *= data.draw(hst.sampled_from([0.0, 1e-16, 1e-13, 1e-12]), label="faint")
+        st = PureState(amp / np.linalg.norm(amp))
+        sd = schmidt_decompose(st)
+        want = reference_schmidt_bases(st.amplitudes)
+        for got, ref in zip((sd.coefficients, sd.left_basis, sd.right_basis), want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     def test_truncation_drops_tiny_coefficients(self):
         eps = 1e-14
