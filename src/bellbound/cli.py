@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bell, bounds, coherent, source_op
@@ -33,7 +34,17 @@ EXIT_UNCERTIFIED = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reserves exit code 2 for usage errors; we use 1."""
+    """argparse reserves exit code 2 for usage errors; we use 1.
+
+    A token that reads as a negative float, such as ``-1e3``, ``-inf`` or
+    ``-nan``, is a value, not an option (argparse itself takes only ``-2``
+    and ``-2.5``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

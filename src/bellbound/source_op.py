@@ -10,10 +10,10 @@ unit-trace but in general *not* positive.  As every term is a tensor power,
 it is built as a small Hermitian core on the copies' symmetric subspace (one
 coordinate per multiset of indices), validated there and gathered once.  Its
 trace norm depends on the Schmidt coefficients alone, since the Schmidt bases
-and the symmetric subspace's embedding are isometries: the gathered matrix
+and the symmetric subspace's embedding are isometries: the built matrix
 carries them, and :func:`trace_norm` of it is one real eigenproblem of at
 most ``r + r(r-1)s`` rows (:func:`_schmidt_trace_norm`).  Any other matrix
-has its repeated rows found and proven from its bits.
+takes one dense ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class _Schmidt(NamedTuple):  # what the closed-form trace norm of a built matrix
 
 
 class _Gathered(np.ndarray):
-    """A built operator's gathered matrix, tagged with the :class:`_Schmidt` data it was built from.
+    """A built operator's matrix, tagged with the :class:`_Schmidt` data it was built from.
 
     Only the array :func:`_build_source` tags carries ``schmidt``: NumPy
     copies no instance attribute to a view, copy or unpickled array made
@@ -111,9 +111,11 @@ class SourceOperator:
     caller's ``matrix`` is copied and is its own core (``classes`` None).
     ``matrix``, ``core`` and ``classes`` are read-only views of read-only
     arrays, so none of them can be made writable again.  A builder's
-    gathered ``matrix`` (``classes`` not None) may carry its Schmidt
-    coefficients (:func:`_build_source`), so that :func:`trace_norm` of that
-    very array takes the closed form.
+    ``matrix`` is a :class:`_Gathered` view (of the core itself where the
+    class map is the identity, ``s1 = s2 = 1``) that carries its Schmidt
+    coefficients when the closed form holds (:func:`_build_source`), so that :func:`trace_norm` of that
+    very array takes the closed form; a caller's matrix takes a dense
+    ``eigvalsh``.
     """
 
     s1: int
@@ -127,8 +129,8 @@ class SourceOperator:
     def __post_init__(self) -> None:
         if min(self.s1, self.s2, self.d1, self.d2) < 1:
             raise ValueError("setting counts and dimensions must be >= 1")
-        core, classes = (self.matrix if isinstance(self.matrix, _Core)
-                         else (np.array(self.matrix, dtype=complex), None))
+        built = isinstance(self.matrix, _Core)
+        core, classes = self.matrix if built else (np.array(self.matrix, dtype=complex), None)
         if classes is None:
             # sizes from JSON are unbounded: compare base-2 logarithms (lower
             # bounds by bit length) before forming a power that may take seconds
@@ -148,7 +150,9 @@ class SourceOperator:
         core = m = _frozen(core)
         if classes is not None:
             classes = _frozen(classes)
-            m = _frozen(core.take(classes, axis=1).take(classes, axis=0), _Gathered)
+            m = _frozen(core.take(classes, axis=1).take(classes, axis=0))
+        if built:
+            m = m.view(_Gathered)
         for name, value in (("matrix", m), ("core", core), ("classes", classes)):
             object.__setattr__(self, name, value)
 
@@ -220,7 +224,10 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
 
 #: Largest relative error the closed-form trace norm of a built matrix may
 #: carry from bases that are not exactly orthonormal (:func:`_closed_form_holds`).
-CLOSED_FORM_RTOL = 1e-14
+#: Bases from :func:`schmidt_decompose` keep the bound some 70 times below
+#: it: 1.4e-14 at worst over 12,800 random rank-2 and full-rank states at
+#: d = 2..8 with up to 9 copies (N <= 1296), both builders.
+CLOSED_FORM_RTOL = 1e-12
 
 
 def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
@@ -240,7 +247,8 @@ def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
 
     for ``delta`` the larger deviation.  True when the middle bound is below
     ``CLOSED_FORM_RTOL``; bases from :func:`schmidt_decompose` deviate by
-    about 1e-15.
+    about 1e-15, while hand-made ones that :class:`SchmidtData` accepts may
+    deviate by up to 1e-10.
     """
     growth = 0.0
     for basis, s in ((schmidt.left_basis, s1), (schmidt.right_basis, s2)):
@@ -260,8 +268,8 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     ``T = Z + Z^H = [K w, B conj(w)] [B, K]^H`` for ``Z = K diag(w) B^H`` of
     the ``k <= k1`` terms, the diagonal ones weighted 1/2; only the upper
     block triangle is multiplied out.  Cost: O(D^2 * terms / 2) for the
-    products and one O(N^2) gather.  A gathered matrix is tagged with the
-    Schmidt coefficients and the copy count when :func:`_closed_form_holds`.
+    products and one O(N^2) gather.  The matrix is tagged with the Schmidt
+    coefficients and the copy count when :func:`_closed_form_holds`.
     """
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
     c, left, right = schmidt.coefficients, schmidt.left_basis, schmidt.right_basis
@@ -290,7 +298,7 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
         core[after, rows] = core[rows, after].conj().T
     classes = None if size == n else (classes1[:, None] * len(reps2) + classes2).reshape(-1)
     op = SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes))
-    if classes is not None and _closed_form_holds(schmidt, s1, s2):
+    if _closed_form_holds(schmidt, s1, s2):
         op.matrix.schmidt = _Schmidt(tuple(c.tolist()), max(s1, s2))
     return op
 
@@ -310,126 +318,6 @@ def build_source_sx1(schmidt: SchmidtData, s1: int) -> SourceOperator:
     if s1 < 1:
         raise ValueError(f"s1 must be >= 1, got {s1}")
     return _build_source(schmidt, s1, 1)
-
-
-#: Certified relative accuracy of the compressed trace norm: the compression
-#: is used only when its worst-case error is at most this times ``||m||_F``.
-TRACE_NORM_RTOL = 1e-12
-
-#: First width of the range sketch in :func:`trace_norm`, doubled while the
-#: sketch's numerical rank fills it.  Every Schmidt-rank-2 source operator
-#: (rank at most 10) fits the first width.
-_SKETCH_START = 16
-
-
-def _range_compression(m: np.ndarray) -> np.ndarray | None:
-    """Hermitian ``Q^H m Q`` on a certified numerical range ``Q`` of ``m``, or None.
-
-    ``Q`` comes from a seeded Gaussian range sketch ``Y = m @ Omega`` (Halko,
-    Martinsson & Tropp 2011), widened by doubling until the numerical rank of
-    ``Y`` stops filling its columns: its left singular vectors above
-    ``n * eps`` of the largest.  For Hermitian ``m`` and ``P = Q Q^H``,
-
-        | ||m||_1 - ||Q^H m Q||_1 | <= ||m - P m P||_1
-                                    <= sqrt(n) ||m - P m P||_F
-                                    <= 2 sqrt(n) ||(I - P) m||_F,
-
-    and the last residual is computed exactly, one row block at a time.  None
-    when that bound exceeds ``TRACE_NORM_RTOL * ||m||_F``, or when the sketch
-    would need more than ``n / 4`` columns: past that width the sketch, the
-    residual and the compression together cost more than a dense
-    ``eigvalsh``.
-    """
-    n = m.shape[0]
-    rng = np.random.default_rng(0)  # a fixed sketch keeps trace norms deterministic
-    y = np.empty((n, 0), dtype=complex)
-    k = _SKETCH_START
-    while True:
-        if 4 * k > n:
-            return None
-        new = k - y.shape[1]
-        omega = rng.standard_normal((n, new)) + 1j * rng.standard_normal((n, new))
-        y = np.concatenate([y, m @ omega], axis=1)
-        # Y surely fills its columns when its singular values, read cheaply
-        # from the Gram matrix, all exceed 1e-6 of the largest; only a Y that
-        # may not needs the SVD
-        gram = np.linalg.svd(y.conj().T @ y, compute_uv=False)
-        if gram[-1] <= 1e-12 * gram[0]:
-            u, sv, _ = np.linalg.svd(y, full_matrices=False)
-            rank = int(np.count_nonzero(sv > sv[0] * n * np.finfo(float).eps))
-            if rank < k:
-                break
-        k *= 2
-    q = u[:, :rank]
-    qm = q.conj().T @ m
-    resid_sq = 0.0
-    for i in range(0, n, _HERM_BLOCK):
-        rows = slice(i, i + _HERM_BLOCK)
-        block = q[rows] @ qm
-        block -= m[rows]
-        resid_sq += float(np.linalg.norm(block)) ** 2
-    if 2.0 * np.sqrt(n * resid_sq) > TRACE_NORM_RTOL * float(np.linalg.norm(m)):
-        return None
-    h = qm @ q
-    return (h + h.conj().T) / 2.0
-
-
-#: Rows per block of the bitwise row proof in :func:`_proven_core`.  At
-#: n >= 729 the proof ran 17-29% faster in 32-row than in 128-row blocks.
-_PROOF_BLOCK = 32
-
-
-def _proven_core(m: np.ndarray, first: np.ndarray, classes: np.ndarray) -> np.ndarray | None:
-    """``m[first][:, first]`` if ``m[a, b] == m[first[c[a]], first[c[b]]]`` bit for bit, else None.
-
-    On a ``uint64`` view, the classes' first rows must repeat their columns
-    by ``c = classes``, and every row must equal its class's first row,
-    checked one row block at a time, with no ``n x n`` temporary.
-    """
-    reps = m[first]
-    rep_bits = reps.view(np.uint64)
-    if not np.array_equal(reps.take(first[classes], axis=1).view(np.uint64), rep_bits):
-        return None
-    bits = m.view(np.uint64)
-    for i in range(0, m.shape[0], _PROOF_BLOCK):
-        rows = slice(i, i + _PROOF_BLOCK)
-        if not np.array_equal(bits[rows], rep_bits[classes[rows]]):
-            return None
-    return reps.take(first, axis=1)
-
-
-def _lumped(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(core, weights)`` with ``m[a, b] = core[c[a], c[b]]`` exactly, or None.
-
-    A fingerprint ``m @ g`` (one real matvec, ``g`` seeded) proposes classes
-    ``c`` of rows; it never decides, and rounding that splits a class of
-    equal rows costs only compression.  :func:`_proven_core` then proves the
-    classes bit for bit, so ``core`` holds the classes' first rows' first
-    columns and ``weights[c]`` the rows in class ``c``.  None unless this
-    holds with at most ``n / 2`` classes, and for a non-contiguous input, a
-    non-finite fingerprint (a NaN, an infinite entry or an overflow) or a
-    core whose scaling by the weights could overflow.  A tagged built matrix
-    never gets here (:func:`trace_norm`); its copies, JSON read-backs and
-    caller matrices do.
-    """
-    n = m.shape[0]
-    if n < 2 or not m.flags.c_contiguous:
-        return None
-    g = np.random.default_rng(n).standard_normal(2 * n)  # seeded: deterministic classes
-    with np.errstate(over="ignore", invalid="ignore"):
-        key = m.view(float) @ g
-    if not np.all(np.isfinite(key)):
-        return None
-    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
-    if 2 * len(first) > n:
-        return None
-    core = _proven_core(m, first, classes)
-    if core is None:
-        return None
-    weights = np.bincount(classes)
-    if np.max(np.abs(core.view(float))) > np.finfo(float).max / 2.0 / weights.max():
-        return None
-    return core, weights
 
 
 @lru_cache(maxsize=64)
@@ -495,45 +383,24 @@ def trace_norm(matrix: np.ndarray) -> float:
     A built operator's ``matrix`` itself carries its Schmidt coefficients
     and copy count, and gets :func:`_schmidt_trace_norm`: one real
     eigenproblem of at most ``r + r(r-1)s`` rows, exact up to
-    ``CLOSED_FORM_RTOL`` relative (:func:`_closed_form_holds`).  Any other
-    array, a copy of that matrix included, takes the path below.
+    ``CLOSED_FORM_RTOL`` relative (:func:`_closed_form_holds`).
 
-    The eigenvalues are those of ``(m + m^H) / 2``; an exactly Hermitian
-    input, such as every :class:`SourceOperator` matrix, is not copied.
-
-    An input whose rows and columns repeat exactly, as a multi-copy source
-    operator's do, is ``m = P C P^T`` for a class indicator ``P`` with
-    ``P^T P = diag(w)``.  When :func:`_lumped` proves that with at most
-    ``n / 2`` classes, everything below runs on ``D x D`` matrices: the
-    Hermitian check on ``C``, which holds every entry of ``m`` and so gives
-    the same verdict and message, and the eigenvalues on
-    ``sqrt(w) C sqrt(w)``, which has the nonzero spectrum of ``m``.  Any
-    other input takes the path below unchanged, bit for bit.
-
-    A numerically low-rank input is compressed to its certified range first
-    (:func:`_range_compression`): O(n^2 k) for a final sketch width ``k``,
-    against O(n^3) for a dense ``eigvalsh``; a source operator has rank at
-    most ``r + 4r(r-1)`` for Schmidt rank ``r``.  Inputs under 64 rows and
-    inputs the compression refuses take the dense ``eigvalsh``.  The sketch
-    is seeded, so repeated calls agree bit for bit.
+    Any other array, a copy or JSON read-back of that matrix included, is
+    checked by :func:`check_hermitian` and takes one dense ``eigvalsh`` of
+    ``(m + m^H) / 2``; an exactly Hermitian input is not copied.  That is
+    O(n^3): on a 2-core host with OpenBLAS, 70 ms for a copy at ``N = 512``
+    and 0.4-0.75 s at ``N = 1024-1296``, where the closed form takes under
+    0.3 ms.
     """
     if type(matrix) is _Gathered and matrix.schmidt is not None:
         return _schmidt_trace_norm(*matrix.schmidt)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    lumped = _lumped(m)
-    if lumped is not None:
-        m, weights = lumped
-    herm = check_hermitian(m, "trace norm input", HERM_ATOL_TRACE_NORM)
-    if herm > 0.0:
+    if check_hermitian(m, "trace norm input", HERM_ATOL_TRACE_NORM) > 0.0:
         m = m.copy()
         _asymmetry(m, out=m)
-    if lumped is not None:
-        root = np.sqrt(weights)
-        m = root[:, None] * m * root
-    small = _range_compression(m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m if small is None else small))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 #: Matrix entries of one site pair times the samples drawn in one chunk by

@@ -265,23 +265,27 @@ class TestViolateCommand:
         assert report["restarts"] == 0
 
     def test_fabricated_value_fails_certification(self, capsys, bell_file):
-        code, out, _ = run(capsys, [
-            "violate", "--functional", "chsh", "--input", bell_file, "--value", "10",
-        ])
-        assert code == 4
-        report = json.loads(out)
-        assert report["certified"] is False
-        assert report["ratio"] == pytest.approx(5.0)
+        # "-1e3" as a separate token is a value, not an option
+        for value, ratio in (("10", 5.0), ("-1e3", 500.0)):
+            code, out, _ = run(capsys, [
+                "violate", "--functional", "chsh", "--input", bell_file, "--value", value,
+            ])
+            assert code == 4
+            report = json.loads(out)
+            assert report["certified"] is False
+            assert report["quantum_value"] == float(value)
+            assert report["ratio"] == pytest.approx(ratio)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_refused(self, capsys, bell_file, value):
-        # "--value=-inf": argparse takes a separate "-inf" for an option
-        code, out, err = run(capsys, [
-            "violate", "--functional", "chsh", "--input", bell_file, f"--value={value}",
-        ])
-        assert code == 2
-        assert out == ""
-        assert err == f"error: claimed quantum value must be finite, got {float(value)!r}\n"
+        # joined or as a separate token, "-inf" included
+        for spelling in ([f"--value={value}"], ["--value", value]):
+            code, out, err = run(capsys, [
+                "violate", "--functional", "chsh", "--input", bell_file, *spelling,
+            ])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: claimed quantum value must be finite, got {float(value)!r}\n"
 
     def test_product_state_certifies_trivially(self, capsys, product_file):
         code, out, _ = run(capsys, [
@@ -346,6 +350,11 @@ class TestErrorPaths:
     def test_missing_required_flag(self, capsys, bell_file):
         code, _, _ = run(capsys, ["bound", "--input", bell_file, "--s1", "2"])
         assert code == 1
+        # so is a flag given no value
+        code, _, err = run(capsys, ["violate", "--functional", "chsh", "--input", bell_file,
+                                    "--value"])
+        assert code == 1
+        assert "--value: expected one argument" in err
 
     def test_no_command(self, capsys):
         code, _, _ = run(capsys, [])

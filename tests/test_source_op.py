@@ -477,7 +477,7 @@ class TestTraceNorm:
     @given(data=st.data())
     def test_matches_dense_oracle(self, data):
         n = data.draw(st.integers(1, 200), label="n")
-        # low ranks are where the compressed path runs, so draw them often
+        # low ranks, as source operators have, are drawn often
         rank = data.draw(
             st.one_of(st.integers(0, min(n, 40)), st.integers(0, n)), label="rank"
         )
@@ -499,38 +499,6 @@ class TestTraceNorm:
         want = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
         assert abs(trace_norm(m) - want) <= 1e-12 * np.linalg.norm(m)
 
-    def test_path_follows_numerical_rank(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        # copies: a built matrix itself takes the closed form
-        ladder = np.array(build_source_1xs(schmidt_decompose(_rank_state(rng, 2, 2)), 6).matrix)
-        g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        full = (g + g.conj().T) / 2.0
-        # the benchmark's smoke sizes: N = 8 and 27 at full Schmidt rank
-        smoke = [np.array(build_source_sx1(schmidt_decompose(_rank_state(rng, d, d)), 2).matrix)
-                 for d in (2, 3)]
-        sizes = _record_eigvalsh_sizes(monkeypatch)
-        for m in [ladder, full] + smoke:
-            trace_norm(m)
-        # (2, 6) lumps to its D = 2 * C(7, 6) = 14 classes, under 64 rows:
-        # dense; the smoke sizes have D > N/2 and stay whole
-        assert sizes == [14, 128, 8, 27]
-
-    def test_certificate_rejects_dropped_tail(self, monkeypatch):
-        # 397 eigenvalues of 2e-14 fall below the sketch's rank cut-off
-        # (n * eps relative); dropping them would move the norm by 8e-12
-        rng = np.random.default_rng(31)
-        n = 400
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        v = np.linalg.qr(g)[0]
-        eig = np.full(n, 2e-14)
-        eig[:3] = (1.0, -1.0, 0.5)
-        m = (v * eig) @ v.conj().T
-        m = (m + m.conj().T) / 2.0
-        want = float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-        sizes = _record_eigvalsh_sizes(monkeypatch)
-        assert abs(trace_norm(m) - want) <= 1e-12 * np.linalg.norm(m)
-        assert sizes == [n]
-
     def test_ladder_operators_match_dense_and_repeat(self):
         rng = np.random.default_rng(19)
         for d, s, rank in ((2, 7, 2), (3, 4, 3), (4, 3, 4), (8, 2, 8)):
@@ -539,77 +507,43 @@ class TestTraceNorm:
                 norm = trace_norm(op.matrix)
                 want = float(np.sum(np.abs(np.linalg.eigvalsh(op.matrix))))
                 assert abs(norm - want) <= 1e-12
-                assert trace_norm(op.matrix) == norm  # seeded sketch: bit-identical
+                assert trace_norm(op.matrix) == norm  # deterministic: bit-identical
 
-    # the sourceop-ladder rungs (perfbench/workloads.py): the rows each trace
-    # norm works on, D = d * C(d+s-1, s) classes, or N = d^(s+1) where D > N/2
-    # (only (8, 2), D = 288); and per Schmidt rank the rows of its eigvalsh,
-    # the operator's rank where the sketch certifies it, else None for a
-    # dense eigvalsh of all the rows
-    LADDER_PATHS = {
-        (2, 6): (14, {2: None}), (2, 7): (16, {2: None}), (2, 8): (18, {2: None}),
-        (2, 9): (20, {2: None}), (3, 4): (45, {2: None, 3: None}),
-        (3, 5): (63, {2: None, 3: None}), (4, 3): (80, {2: 8, 4: None}),
-        (4, 4): (140, {2: 10, 4: None}), (6, 3): (336, {2: 8, 6: None}),
-        (8, 2): (512, {2: 4, 8: 16}),
-    }
+    # the sourceop-ladder rungs (perfbench/workloads.py)
+    LADDER_RUNGS = ((2, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (4, 3), (4, 4), (6, 3),
+                    (8, 2))
 
     def test_ladder_rungs_pin_the_path(self, monkeypatch):
         rng = np.random.default_rng(37)
-        compressed, lumped, checked = [], [], []
-        sketch, lump = source_op._range_compression, source_op._lumped
+        checked = []
         check = source_op.check_hermitian
-
-        def sketch_spy(m):
-            compressed.append(m.shape[0])
-            return sketch(m)
-
-        def lump_spy(m):
-            lumped.append(m.shape[0])
-            return lump(m)
 
         def check_spy(m, *args, **kwargs):
             checked.append(m.shape[0])
             return check(m, *args, **kwargs)
 
-        monkeypatch.setattr(source_op, "_range_compression", sketch_spy)
-        monkeypatch.setattr(source_op, "_lumped", lump_spy)
         monkeypatch.setattr(source_op, "check_hermitian", check_spy)
-        proved = _record_row_proofs(monkeypatch)
         sizes = _record_eigvalsh_sizes(monkeypatch)
         untagged = 0
-        for (d, s), (rows, ranks) in self.LADDER_PATHS.items():
-            n = d ** (s + 1)
-            for rank, low_rank in ranks.items():
+        for d, s in self.LADDER_RUNGS:
+            for rank in sorted({2, d}):
                 sd = schmidt_decompose(_rank_state(rng, d, rank))
                 for build in (build_source_1xs, build_source_sx1):
                     op = build(sd, s)
                     tagged = op.matrix.schmidt is not None
                     assert tagged == source_op._closed_form_holds(sd, op.s1, op.s2)
                     untagged += not tagged
-                    norms = []
-                    for m in (op.matrix, np.array(op.matrix)):
-                        del compressed[:], lumped[:], checked[:], sizes[:], proved[:]
-                        norms.append(trace_norm(m))
-                        if m is op.matrix and tagged:
-                            # its Schmidt data: one real eigvalsh of at most
-                            # r + r(r-1)s rows, and nothing else
-                            assert compressed == lumped == checked == proved == []
-                            assert len(sizes) == 1
-                            assert sizes[0] <= rank + rank * (rank - 1) * s
-                            continue
-                        # the fingerprint's rounding may split a class (a few
-                        # more rows), but a rung that lumps stays at most n/2
-                        size, = compressed
-                        assert size == n if rows == n else rows <= size <= n // 2
-                        assert sizes == [size if low_rank is None else low_rank]
-                        # an untagged matrix, a copy included, is proven
-                        assert proved == ([] if rows == n else [n])
-                    assert abs(norms[0] - norms[1]) <= 1e-13 * norms[1]
-        # the guard keeps the tag from one of these 32 operators: the (2, 7)
-        # rank-2 sx1 bases deviate by ~1.3e-15, and 8 copies' worth of that
-        # bounds the closed form's error just above CLOSED_FORM_RTOL
-        assert untagged == 1
+                    del checked[:], sizes[:]
+                    trace_norm(op.matrix)
+                    if tagged:
+                        # its Schmidt data: one real eigvalsh of at most
+                        # r + r(r-1)s rows, and nothing else
+                        assert checked == []
+                        assert len(sizes) == 1
+                        assert sizes[0] <= rank + rank * (rank - 1) * s
+        # every one of these 32 operators is tagged: schmidt_decompose's
+        # bases keep the closed form's error bound far below CLOSED_FORM_RTOL
+        assert untagged == 0
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -622,6 +556,7 @@ class TestTraceNorm:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         sd = schmidt_decompose(_rank_state(rng, d, rank))
         op = build(sd, s)
+        assert op.matrix.schmidt is not None
         norm = trace_norm(op.matrix)
         want = _dense_trace_norm(op.matrix)
         assert abs(norm - want) <= 1e-13 * want
@@ -633,7 +568,7 @@ class TestTraceNorm:
 
     def test_compression_stays_below_one_operator(self):
         sd = schmidt_decompose(_rank_state(np.random.default_rng(23), 6, 6))
-        m = np.array(build_source_1xs(sd, 3).matrix)  # a copy: the built matrix needs no core
+        m = np.array(build_source_1xs(sd, 3).matrix)  # a copy takes the dense path
         tracemalloc.start()
         try:
             trace_norm(m)
@@ -668,7 +603,7 @@ class TestClosedForm:
         # at s <= 2 the rows no entry reaches are dropped
         assert sizes == [4, 4 + 12, 4 + 12 * 3, 4 + 12 * 30]
 
-    def test_guard_keeps_near_orthonormal_bases_exact(self, monkeypatch):
+    def test_guard_keeps_near_orthonormal_bases_exact(self):
         # Gram deviation 5e-11, within what SchmidtData accepts: the closed
         # form would be off by far more than 1e-13, so the matrix stays untagged
         sd = schmidt_decompose(_rank_state(np.random.default_rng(97), 4, 4))
@@ -678,46 +613,11 @@ class TestClosedForm:
                                     right_basis=sd.right_basis, truncation_tol=sd.truncation_tol)
         op = build_source_1xs(skewed, 4)
         assert op.matrix.schmidt is None
-        proved = _record_row_proofs(monkeypatch)
         want = _dense_trace_norm(np.array(op.matrix))
         assert abs(trace_norm(op.matrix) - want) <= 1e-13 * want
-        assert proved == [1024]
         assert abs(source_op._schmidt_trace_norm(sd.coefficients, 4) - want) > 1e-13 * want
         # the same data with its own bases is tagged
         assert build_source_1xs(sd, 4).matrix.schmidt is not None
-
-
-def _lumpable(rng, weights, asymmetry=0.0):
-    """Random ``P C P^T`` whose classes hold ``weights`` rows, in shuffled order.
-
-    ``C`` is Hermitian but for ``asymmetry`` added to its entry ``(0, 1)``.
-    """
-    d = len(weights)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    core = (g + g.conj().T) / 2.0
-    core[0, 1] += asymmetry
-    classes = rng.permutation(np.repeat(np.arange(d), weights))
-    return core.take(classes, axis=1).take(classes, axis=0), classes
-
-
-def _record_row_proofs(monkeypatch):
-    """Rows of every matrix :func:`source_op._proven_core` is asked to prove."""
-    proved = []
-    prove = source_op._proven_core
-
-    def spy(m, first, classes):
-        proved.append(m.shape[0])
-        return prove(m, first, classes)
-
-    monkeypatch.setattr(source_op, "_proven_core", spy)
-    return proved
-
-
-def _unlumped_trace_norm(monkeypatch, m):
-    """``trace_norm`` with lumping switched off: the path every other input takes."""
-    with monkeypatch.context() as patch:
-        patch.setattr(source_op, "_lumped", lambda m: None)
-        return trace_norm(m)
 
 
 def _dense_trace_norm(m):
@@ -725,78 +625,54 @@ def _dense_trace_norm(m):
 
 
 class TestLumpingGuard:
-    def test_lumps_exact_duplicates(self):
-        m, _ = _lumpable(np.random.default_rng(61), [6, 1, 4, 2, 5])
-        core, weights = source_op._lumped(m)
-        # the fingerprint's rounding may split a class, never merge two
-        assert 5 <= len(weights) <= 9 and weights.sum() == 18
-        assert core.shape == (len(weights),) * 2
-        want = _dense_trace_norm(m)
-        assert abs(trace_norm(m) - want) <= 1e-13 * want
-
-    @pytest.mark.parametrize("entry", [0.25 - 0.5j, 0.0])
-    def test_one_ulp_falls_back(self, entry):
-        # one ulp of 0.0 (5e-324) leaves the fingerprint as it is: only the
-        # bitwise proof sees it
-        m, classes = _lumpable(np.random.default_rng(67), [4, 4, 4, 4])
-        rows, cols = np.flatnonzero(classes == 0), np.flatnonzero(classes == 1)
-        m[np.ix_(rows, cols)] = entry
-        m[np.ix_(cols, rows)] = np.conj(entry)
-        assert source_op._lumped(m) is not None
-        m[rows[1], cols[0]] = np.nextafter(entry.real, np.inf) + 1j * entry.imag
-        assert source_op._lumped(m) is None
-        want = _dense_trace_norm((m + m.conj().T) / 2.0)
-        assert abs(trace_norm(m) - want) <= 1e-13 * want
+    """Matrices with repeated rows and edge-case entries, which take the dense path."""
 
     def test_rows_repeat_but_columns_do_not(self):
         rng = np.random.default_rng(71)
-        m, classes = _lumpable(rng, [4, 4, 4, 4])
+        classes = np.repeat(np.arange(4), 4)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         # the same tiny row added to every row of a class: rows still repeat
         # bit for bit, columns no longer do, and m stays Hermitian to 1e-12
+        m = ((g + g.conj().T) / 2.0)[np.ix_(classes, classes)]
         m = m + 1e-12 * rng.standard_normal((4, 16))[classes]
-        assert np.array_equal(m[classes == 0][0], m[classes == 0][1])
-        assert source_op._lumped(m) is None
+        assert np.array_equal(m[0], m[1])
         want = _dense_trace_norm((m + m.conj().T) / 2.0)
         assert abs(trace_norm(m) - want) <= 1e-13 * want
 
     def test_nan_in_duplicated_rows(self):
-        m, classes = _lumpable(np.random.default_rng(73), [3, 3, 2])
-        m[np.ix_(classes == 1, classes == 0)] = np.nan  # one core entry: still P C P^T
-        assert source_op._lumped(m) is None
+        m = np.full((8, 8), 0.125, dtype=complex)
+        m[3:6, :3] = np.nan  # one entry of the repeated 3 x 3 block pattern
         with pytest.raises(ValidationError, match="trace norm input has a NaN or infinite entry"):
             trace_norm(m)
 
-    def test_asymmetry_message_unchanged(self, monkeypatch):
-        m, _ = _lumpable(np.random.default_rng(79), [2, 3, 4], asymmetry=1e-3)
-        assert source_op._lumped(m) is not None
+    def test_asymmetry_message_unchanged(self):
+        # trace_norm reports check_hermitian's own verdict on its input
+        rng = np.random.default_rng(79)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        m = (g + g.conj().T) / 2.0
+        m[0, 1] += 1e-3
         messages = []
-        for run in (trace_norm, lambda m: _unlumped_trace_norm(monkeypatch, m)):
+        for run in (trace_norm, lambda m: qstate.check_hermitian(
+                m, "trace norm input", qstate.HERM_ATOL_TRACE_NORM)):
             with pytest.raises(ValidationError) as err:
                 run(m)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert "max asymmetry" in messages[0]
 
-    @pytest.mark.parametrize("big, lumps", [(1e307, True), (2.5e307, False)])
-    def test_entries_near_float_limit(self, monkeypatch, big, lumps):
-        # two classes of 8 rows: 8 * 2.5e307 in the scaled core would
-        # overflow, though the fingerprint stays finite, so that input falls
-        # back, to an infinite trace norm
+    @pytest.mark.parametrize("big, finite", [(1e307, True), (2.5e307, False)])
+    def test_entries_near_float_limit(self, big, finite):
+        # one rank-one block of 8 rows: its eigenvalue 8 * big overflows to
+        # an infinite trace norm at 2.5e307, with no warning
         m = np.zeros((16, 16), dtype=complex)
         m[:8, :8] = big
-        assert (source_op._lumped(m) is not None) == lumps
-        norm = trace_norm(m)
-        if lumps:
-            assert abs(norm - 8.0 * big) <= 1e-13 * 8.0 * big
-        else:
-            assert norm == _unlumped_trace_norm(monkeypatch, m) == np.inf
+        assert trace_norm(m) == (8.0 * big if finite else np.inf)
 
     def test_non_contiguous_view(self):
         op = build_source_sx1(schmidt_decompose(_rank_state(np.random.default_rng(83), 2, 2)), 5)
         padded = np.zeros((64, 128), dtype=complex)
         padded[:, ::2] = op.matrix
         view = padded[:, ::2]
-        assert source_op._lumped(view) is None
         want = _dense_trace_norm(op.matrix)
         assert abs(trace_norm(view) - want) <= 1e-13 * want
 
@@ -831,20 +707,16 @@ class TestGatheredTag:
         assert copied[0] == copied[1] == copied[2]
         assert abs(copied[0] - norm) <= 1e-13 * norm
 
-    def test_non_refining_fingerprint_falls_back(self, monkeypatch):
-        # |00>: 30 builder classes at (3, 3), but all rows save one are zero
-        # and share one fingerprint class, which no builder class holds; its
-        # copies are proven on those classes, the built matrix needs no proof
+    def test_non_refining_fingerprint_falls_back(self):
+        # |00>: 30 builder classes at (3, 3), but all rows save one are zero;
+        # the built matrix takes the closed form, its copies the dense path
         product = PureState(np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
         op = build_source_1xs(schmidt_decompose(product), 3)
         assert len(op.core) == 30
         norm = trace_norm(op.matrix)
-        proved = _record_row_proofs(monkeypatch)
         copied = trace_norm(np.array(op.matrix))
-        assert proved == [81]
         assert abs(copied - norm) <= 1e-13 * norm and copied == 1.0
         assert trace_norm(op.matrix.copy()) == copied
-        assert proved == [81, 81]
 
 
 class TestSourceOperatorValidation:
@@ -895,8 +767,8 @@ class TestSourceOperatorValidation:
             tracemalloc.stop()
         assert not op.matrix.flags.writeable
         assert peak < 2 * op.matrix.nbytes
-        # at s = 1 the class map is the identity: the core is the matrix,
-        # handed over with no gather copy (16.8 MB at d = 32)
+        # at s = 1 the class map is the identity: the matrix is a view of
+        # the core, handed over with no gather copy (16.8 MB at d = 32)
         sd = schmidt_decompose(_rank_state(np.random.default_rng(29), 32, 2))
         tracemalloc.start()
         try:
@@ -904,7 +776,7 @@ class TestSourceOperatorValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.classes is None and op.matrix is op.core
+        assert op.classes is None and np.shares_memory(op.matrix, op.core)
         assert not op.matrix.flags.writeable
         assert peak < 2 * op.matrix.nbytes
 
