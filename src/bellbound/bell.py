@@ -100,53 +100,38 @@ def chsh_functional() -> BellFunctional:
     return BellFunctional(OutcomeSet(labels), OutcomeSet(labels), phi)
 
 
-def _validated_setting(povm, where: str, dim: int | None) -> list[np.ndarray]:
-    """One setting's elements, validated and read-only; ``dim`` is the site's, if known.
-
-    A ragged or empty setting, or one of another dimension, is checked element
-    by element.
-    """
-    try:
-        stack = np.stack([np.asarray(e, dtype=complex) for e in povm])
-    except (TypeError, ValueError, OverflowError):
-        stack = None  # ragged or not numeric
-    if (stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0
-            and dim in (None, stack.shape[1])):
-        check_hermitian(stack, where, HERM_ATOL_POVM, psd=True)
-        stack.setflags(write=False)
-        return list(stack)
-    elements = []
-    for a, element in enumerate(povm):
-        m = np.array(element, dtype=complex)
-        what = f"{where} element {a}"
-        if m.ndim != 2:  # check_hermitian would take a 3-d array for a stack
-            raise ValidationError(f"{what} must be square, got shape {m.shape}")
-        if m.size == 0:
-            raise ValidationError(f"{what} is empty, got shape {m.shape}")
-        check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
-        dim = m.shape[0] if dim is None else dim
-        if m.shape[0] != dim:
-            raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
-        m.setflags(write=False)
-        elements.append(m)
-    return elements
-
-
 def _checked_site(povms, site_no: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """A site validated setting by setting; raises the first failure by name."""
+    """A site validated element by element; raises the first failure by name.
+
+    Each setting needs at least 2 elements; each element must be square,
+    non-empty, pass :func:`~bellbound.qstate.check_hermitian` and have the
+    site's dimension; then each setting must sum to the identity.
+    """
     dim = None
     site_out = []
     for s, povm in enumerate(povms):
+        where = f"site {site_no} setting {s}"
         if len(povm) < 2:
-            raise ValidationError(f"site {site_no} setting {s}: POVM needs >= 2 elements")
-        elements = _validated_setting(povm, f"site {site_no} setting {s}", dim)
-        dim = elements[0].shape[0]
-        total = sum(elements)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
+            raise ValidationError(f"{where}: POVM needs >= 2 elements")
+        elements = []
+        for a, element in enumerate(povm):
+            m = np.array(element, dtype=complex)
+            what = f"{where} element {a}"
+            # check_hermitian would take a 3-d array for a stack
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError(f"{what} must be square, got shape {m.shape}")
+            if m.size == 0:
+                raise ValidationError(f"{what} is empty, got shape {m.shape}")
+            check_hermitian(m, what, HERM_ATOL_POVM, psd=True)
+            dim = m.shape[0] if dim is None else dim
+            if m.shape[0] != dim:
+                raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
+            m.setflags(write=False)
+            elements.append(m)
+        dev = float(np.max(np.abs(sum(elements) - np.eye(dim))))
         if dev > POVM_SUM_ATOL:
             raise ValidationError(
-                f"site {site_no} setting {s}: POVM elements do not sum to "
-                f"identity (max deviation {dev:.3e})"
+                f"{where}: POVM elements do not sum to identity (max deviation {dev:.3e})"
             )
         site_out.append(tuple(elements))
     return tuple(site_out)
@@ -162,7 +147,7 @@ def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
     :func:`~bellbound.qstate.check_hermitian` call certifies its elements.
     Returns the settings as read-only views of the copy, or None when the
     settings do not stack, a setting has fewer than 2 elements, or any check
-    fails: the per-setting loop then decides and names the failure.
+    fails: :func:`_checked_site` then decides and names the failure.
     """
     try:
         stack = np.array(povms, dtype=complex)
@@ -200,8 +185,8 @@ class Assemblage:
     one :func:`~bellbound.qstate.check_hermitian` call per group of settings
     (:func:`_stacked_site`), and its elements are read-only views of one
     copy.  Any other site, and any site that fails there, is validated
-    setting by setting, one call on the stack of each setting's elements,
-    and that loop alone names a failure.
+    element by element (:func:`_checked_site`), and that loop alone names a
+    failure.
     """
 
     site1: tuple[tuple[np.ndarray, ...], ...]
@@ -569,8 +554,9 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     checks it against the lesser of the Schmidt-coefficient bound and the
     dimension bound (slack 1e-6).  Also reports the interval that must
     contain every quantum value of the functional and whether ``value`` lies
-    inside it, with a float slack of ``1e-9 * max(1, sum |phi|)``, the scale
-    of the see-saw's guard.  A NaN or infinite ``value`` raises
+    inside it, with a float slack of ``1e-9 * max(1, sum |phi|)``; the
+    see-saw's guard uses ``1e-9 * sum |phi|``, with no floor, so the two
+    scales agree only for ``sum |phi| >= 1``.  A NaN or infinite ``value`` raises
     :class:`ValidationError`.
     """
     if not math.isfinite(value):

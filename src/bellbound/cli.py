@@ -12,12 +12,7 @@ import re
 import sys
 
 from . import bell, bounds, coherent, source_op
-from .errors import (
-    CapacityError,
-    DegeneracyError,
-    UnsupportedFunctionalError,
-    ValidationError,
-)
+from .errors import BellboundError, CapacityError
 from .qstate import DEFAULT_TRUNCATION_TOL, schmidt_decompose, schmidt_sum_squared
 from .serialize import (
     complex_matrix_json,
@@ -311,10 +306,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValidationError, DegeneracyError, UnsupportedFunctionalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BellboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     output = getattr(args, "output", None)

@@ -39,7 +39,6 @@ MAX_AUTO_CUTOFF = 1024
 #: machine, and memory grows linearly with the step count.
 MAX_CURVE_STEPS = 10**6
 
-_PLUS_FAMILIES = (1, 2)
 _MINUS_FAMILIES = (3, 4)
 
 

@@ -290,14 +290,13 @@ def schmidt_decompose(
     coeffs = s[keep].copy()
     left = np.ascontiguousarray(u[:, keep].T)
     right = np.ascontiguousarray(vh[keep, :])
-    sig = np.abs(left) > 1e-12
-    rows = np.flatnonzero(sig.any(axis=1))  # all rows of unit vectors; defensive
-    pivots = left[rows, sig[rows].argmax(axis=1)]
+    # every row is a unit vector, so it has an entry of size >= 1/sqrt(d1)
+    pivots = left[np.arange(rank), (np.abs(left) > 1e-12).argmax(axis=1)]
     # np.hypot rounds as the scalar abs(pivot) does; np.abs of a complex
     # array need not, so the bases would differ in the last bit
     phases = pivots / np.hypot(pivots.real, pivots.imag)
-    left[rows] *= phases.conj()[:, None]
-    right[rows] *= phases[:, None]
+    left *= phases.conj()[:, None]
+    right *= phases[:, None]
     return SchmidtData(
         coefficients=coeffs,
         rank=rank,

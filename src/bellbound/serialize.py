@@ -129,13 +129,6 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
     raise ValidationError(f"unknown state type {kind!r}")
 
 
-def state_to_json(state: PureState) -> dict:
-    """Dense-form JSON of a pure state."""
-    out: dict = {"type": "dense", "d1": state.d1, "d2": state.d2}
-    out.update(complex_matrix_json(state.amplitudes))
-    return out
-
-
 def functional_from_json(obj: dict) -> BellFunctional:
     """Parse ``{"s1", "s2", "outcomes1", "outcomes2", "phi"}``."""
     if not isinstance(obj, dict):

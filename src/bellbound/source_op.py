@@ -88,7 +88,7 @@ class _Gathered(np.ndarray):
         return arr[()] if return_scalar else arr
 
 
-def _frozen(a: np.ndarray, kind: type = np.ndarray) -> np.ndarray:
+def _frozen(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` that cannot be made writable.
 
     The view's base is ``a`` made read-only, or a read-only copy where ``a``
@@ -96,7 +96,7 @@ def _frozen(a: np.ndarray, kind: type = np.ndarray) -> np.ndarray:
     """
     base = a if a.flags.owndata else a.copy()
     base.setflags(write=False)
-    return base.view(kind)
+    return base.view()
 
 
 @dataclass(frozen=True)

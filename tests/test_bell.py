@@ -374,20 +374,26 @@ class TestAssemblageValidation:
         {(1, 3): "sum"},
         {(0, 2): "sum", (0, 5): "asymmetric", (0, 9): "non_psd"},
         {(0, 9): "non_psd", (1, 0): "sum"},
+        pytest.param({"outcomes": (2, 3)}, id="ragged"),
+        pytest.param({"outcomes": (2, 3), (1, 9): "non_psd"}, id="ragged_spoiled"),
     ])
     def test_large_sites_match_reference(self, d, spoils):
         # 10 two-outcome settings a site: at d = 32 they form check groups
         # of 4, 4 and 2 settings, at d = 96 one setting each; every spoiled
-        # setting fails exactly one check
+        # setting fails exactly one check.  With "outcomes" (2, 3) the
+        # settings alternate 2 and 3 outcomes, so no site stacks and every
+        # element is checked alone
         rng = np.random.default_rng(d)
+        outcomes = spoils.get("outcomes", (2,))
         sites = []
         for site in (0, 1):
             settings = []
             for s in range(10):
-                povm = random_povm(rng, d, 2)
+                m = outcomes[s % len(outcomes)]
+                povm = random_povm(rng, d, m)
                 kind = spoils.get((site, s))
                 if kind == "non_psd":
-                    povm = _povm_with_min_eigenvalue(rng, d, 2, -1e-3)[::-1]
+                    povm = _povm_with_min_eigenvalue(rng, d, m, -1e-3)[::-1]
                 elif kind == "asymmetric":  # the sum stays the identity
                     povm[0][1, 0] += 2e-10
                     povm[1][1, 0] -= 2e-10
@@ -417,13 +423,15 @@ class TestAssemblageValidation:
                 assert not povm[0].base.flags.writeable
 
     def test_uncertified_setting_falls_back(self, monkeypatch):
-        # lambda_min = -0.9 PSD_ATOL: the shifted Cholesky fails, eigvalsh accepts
+        # site 1 is ragged, so each element is checked alone; lambda_min =
+        # -0.9 PSD_ATOL: the shifted Cholesky of that element fails, eigvalsh
+        # accepts it, and the other four elements and site 2 are certified
         rng = np.random.default_rng(101)
         edge = tuple(_povm_with_min_eigenvalue(rng, 4, 3, -0.9 * PSD_ATOL))
         valid = tuple(random_povm(rng, 4, 2))
         calls = self._count_lapack(monkeypatch)
         Assemblage(site1=(valid, edge), site2=(valid,))
-        assert calls == {"cholesky": 3, "eigvalsh": 3}
+        assert calls == {"cholesky": 6, "eigvalsh": 1}
 
     def test_norm_gate_falls_back(self, monkeypatch):
         # at d = 200 the Cholesky error bound of a valid two-outcome POVM
@@ -449,18 +457,24 @@ class TestAssemblageValidation:
                 Assemblage(site1=site1, site2=site2)
             assert str(err.value) == f"{where} element 0 is empty, got shape (0, 0)"
 
+    def test_empty_non_square_element_named_as_reference(self):
+        # a (0, 3) element is refused as not square before it is called empty
+        empty = (np.zeros((0, 3)), np.zeros((0, 3)))
+        _assert_matches_reference(((empty,), ((np.eye(1), np.zeros((1, 1))),)))
+
     @pytest.mark.parametrize("scale", [1e200, 1e308])
     def test_overflowing_norm_falls_back_quietly(self, scale, monkeypatch):
-        # ||scale I||_F overflows: the gate fails without a warning, eigvalsh
-        # accepts both elements as they are (scale I + scale I would overflow
-        # too), and the sum-to-identity check refuses them
+        # the site's sum fails, so each element is checked alone: ||scale I||_F
+        # overflows, the gate fails without a warning and eigvalsh accepts the
+        # element; the zero element is certified; the sum-to-identity check
+        # refuses them
         povm = (scale * np.eye(2), np.zeros((2, 2)))
         calls = self._count_lapack(monkeypatch)
         with pytest.raises(ValidationError) as err:
             Assemblage(site1=(povm,), site2=((np.eye(1), np.zeros((1, 1))),))
         assert str(err.value) == ("site 1 setting 0: POVM elements do not sum to identity "
                                   f"(max deviation {scale:.3e})")
-        assert calls == {"cholesky": 0, "eigvalsh": 2}
+        assert calls == {"cholesky": 1, "eigvalsh": 1}
 
     def test_three_axis_element_is_not_a_stack(self):
         # a ragged setting is checked element by element, and an element
