@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import (_HERM_GROUP, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL,
+from .qstate import (_HERM_GROUP, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, VALUE_SLACK,
                      PureState, check_hermitian, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
@@ -507,7 +507,7 @@ def seesaw_maximize(
     site1 = (amp, c0, row1, c3, row2)
     site2 = (amp.T, c0, row2, c3.T, row1)
     # float noise in the objective grows with the weights; so does the guard
-    slack = 1e-9 * float(np.abs(f.phi).sum())
+    slack = VALUE_SLACK * float(np.abs(f.phi).sum())
 
     best_val = -math.inf
     best_ops = None
@@ -554,8 +554,8 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     checks it against the lesser of the Schmidt-coefficient bound and the
     dimension bound (slack 1e-6).  Also reports the interval that must
     contain every quantum value of the functional and whether ``value`` lies
-    inside it, with a float slack of ``1e-9 * max(1, sum |phi|)``; the
-    see-saw's guard uses ``1e-9 * sum |phi|``, with no floor, so the two
+    inside it, with a float slack of ``VALUE_SLACK * max(1, sum |phi|)``; the
+    see-saw's guard uses ``VALUE_SLACK * sum |phi|``, with no floor, so the two
     scales agree only for ``sum |phi| >= 1``.  A NaN or infinite ``value`` raises
     :class:`ValidationError`.
     """
@@ -572,7 +572,7 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     b_dim = dimension_settings_bound(state.d1, state.d2, f.s1, f.s2)
     ratio = abs(value) / ext.b_lhv
     lo, hi = quantum_band(ext.b_sup, ext.b_inf, b_schmidt)
-    slack = 1e-9 * max(1.0, float(np.abs(f.phi).sum()))
+    slack = VALUE_SLACK * max(1.0, float(np.abs(f.phi).sum()))
     return ViolationReport(
         quantum_value=float(value),
         b_lhv=ext.b_lhv,

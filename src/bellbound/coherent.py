@@ -60,8 +60,8 @@ class CoherentFamily:
 
     @property
     def overlap_x(self) -> float:
-        """Coherent overlap x = exp(-2 alpha^2)."""
-        return math.exp(-2.0 * self.alpha**2)
+        """Coherent overlap x = exp(-2 alpha^2); 0 where alpha^2 overflows."""
+        return math.exp(-2.0 * (self.alpha * self.alpha))
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,14 @@ def _poisson_tail(alpha: float, cutoff: int) -> float:
     ``math.lgamma``, so nothing underflows before it is negligible however
     large alpha is.  Below the mean the head is summed and subtracted from 1;
     above it the terms fall geometrically and are summed until they stop
-    adding to the total.
+    adding to the total.  Where ``alpha^2`` underflows to 0 the tail is 0,
+    and where it overflows to infinity the tail is 1.
     """
     lam = alpha * alpha
+    if lam == 0.0:
+        return 0.0
+    if lam == math.inf:
+        return 1.0
     log_lam = math.log(lam)
 
     def term(m: int) -> float:
@@ -157,7 +162,7 @@ def coherent_fock_vector(sign: int, alpha: float, trunc: FockTruncation) -> np.n
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
     n = trunc.cutoff
     vec = np.empty(n + 1, dtype=float)
-    amp = math.exp(-(alpha**2) / 2.0)
+    amp = math.exp(-(alpha * alpha) / 2.0)
     for m in range(n + 1):
         vec[m] = amp
         amp *= sign * alpha / math.sqrt(m + 1)

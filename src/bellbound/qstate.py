@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 
-# Acceptance tolerances: every threshold that decides whether an input is accepted.
+# Acceptance tolerances: every threshold that decides whether an input or a value is accepted.
 NORM_ATOL = 1e-12  #: |squared norm - 1| of a state vector
 ORTHO_ATOL = 1e-10  #: Gram deviation and squared-coefficient sum of Schmidt data
 HERM_ATOL_DENSITY = 1e-12  #: max entry of |m - m^H| of a density operator
@@ -25,6 +25,7 @@ PSD_ATOL = 1e-10  #: -(min eigenvalue) of a positive-semidefinite operator
 POVM_SUM_ATOL = 1e-10  #: max entry of |sum_a E_a - I| of a POVM
 GRAM_DET_ATOL = 1e-12  #: Gram determinant above which two vectors are independent
 LHV_ZERO_ATOL = 1e-12  #: |classical bound| from which a violation ratio is defined
+VALUE_SLACK = 1e-9  #: float slack on a Bell value, per unit of sum |phi| of the functional
 
 #: Singular values at or below this are discarded as numerical zeros.
 DEFAULT_TRUNCATION_TOL = 1e-12

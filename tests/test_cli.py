@@ -212,6 +212,30 @@ class TestCoherentCommands:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["1e155", "1.7976931348623157e308"])
+    def test_alpha_squared_overflow_is_capacity_exit(self, capsys, alpha):
+        # alpha^2 is infinite: every Poisson(alpha^2) mass lies above any cutoff
+        code, out, err = run(capsys, ["coherent", "--family", "1", "--alpha", alpha])
+        assert code == 3 and out == ""
+        assert "above 1024" in err and "Traceback" not in err
+        code, out, _ = run(capsys, ["coherent-curve", "--family", "1", "--alpha-max", "1e300",
+                                    "--steps", "3"])
+        assert code == 0
+        assert out.splitlines()[-1] == "1e+300,3"
+
+    @pytest.mark.parametrize("family, bound", [(2, 1.0), (4, 3.0)])
+    def test_alpha_squared_underflow(self, capsys, family, bound):
+        # alpha^2 is 0: no mass above the smallest automatic cutoff, and the
+        # bounds are those of alpha = 1e-160, where alpha^2 is still positive
+        reports = []
+        for alpha in ("1e-300", "5e-324", "1e-160"):
+            code, out, _ = run(capsys, ["coherent", "--family", str(family), "--alpha", alpha])
+            assert code == 0
+            reports.append(json.loads(out))
+        for report in reports:
+            assert report["bound"] == bound
+            assert (report["cutoff"], report["tail_bound"]) == (16, 0.0)
+
     def test_rejects_bad_family(self, capsys):
         code, _, _ = run(capsys, ["coherent", "--family", "7", "--alpha", "0.5"])
         assert code == 1

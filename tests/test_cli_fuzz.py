@@ -5,13 +5,14 @@ import copy
 import io
 import json
 import math
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellbound import ValidationError, source_operator_from_json
@@ -182,3 +183,26 @@ def test_lhv_on_both_sides_of_the_enumeration_guard(s1, s2, code, tmp_path):
     else:
         assert err.startswith("error:") and "enumeration guard" in err
         assert time.perf_counter() - start < 1.0
+
+
+#: Every positive float, log-uniformly: 5e-324 up to the largest double.
+POSITIVE_FLOATS = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(family=st.integers(1, 4), alphas=st.lists(POSITIVE_FLOATS, min_size=2, max_size=2))
+@example(family=1, alphas=[5e-324, sys.float_info.max])
+@example(family=3, alphas=[1e-300, 1e155])
+def test_coherent_commands_take_any_positive_alpha(family, alphas):
+    low, high = sorted(alphas)
+    for argv in (
+        ["coherent", "--family", str(family), "--alpha", repr(low)],
+        ["coherent", "--family", str(family), "--alpha", repr(high)],
+        ["coherent-curve", "--family", str(family), "--alpha-min", repr(low),
+         "--alpha-max", repr(high), "--steps", "3"],
+    ):
+        code, out, err = _run(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code == 0 and argv[0] == "coherent":
+            assert 1.0 <= json.loads(out)["bound"] <= 3.0

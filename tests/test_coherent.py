@@ -1,9 +1,12 @@
 """Coherent-state superposition families and their closed forms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellbound import (
@@ -23,6 +26,7 @@ from bellbound import (
     schmidt_sum_bound,
     two_mode_amplitudes,
 )
+from bellbound import coherent
 from bellbound.coherent import MAX_AUTO_CUTOFF
 
 
@@ -78,6 +82,33 @@ class TestFockTruncation:
             fock_truncation(1.0, cutoff=3.5)
         with pytest.raises(ValueError):
             FockTruncation(cutoff=0, tail_bound=0.0)
+
+
+class TestAnyPositiveAlpha:
+    """alpha from the smallest subnormal to the largest double, where alpha^2 may
+    underflow to 0 or overflow to infinity."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp),
+           family=st.integers(1, 4))
+    @example(alpha=5e-324, family=1)
+    @example(alpha=1e-300, family=2)
+    @example(alpha=1e155, family=3)
+    @example(alpha=sys.float_info.max, family=4)
+    def test_bound_and_truncation(self, alpha, family):
+        bound = coherent_violation_bound(CoherentFamily(family, alpha))
+        assert math.isfinite(bound) and 1.0 <= bound <= 3.0
+        for cutoff in ("auto", 16):
+            try:
+                trunc = fock_truncation(alpha, cutoff=cutoff)
+            except CapacityError:
+                assert alpha > 1.0  # Poisson(alpha^2) mass is left above the cutoff
+                continue
+            assert trunc.tail_bound <= trunc.tail_tol  # NaN fails this
+
+    def test_poisson_tail_at_the_float_limits(self):
+        assert coherent._poisson_tail(1e-300, 16) == 0.0
+        assert coherent._poisson_tail(1e155, MAX_AUTO_CUTOFF) == 1.0
 
 
 class TestCoherentVectors:

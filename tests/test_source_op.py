@@ -30,7 +30,7 @@ from bellbound import (
 from bellbound import qstate, source_op
 from bellbound.qstate import _HERM_BLOCK
 from bellbound.source_op import DEFAULT_MAX_DIM, SourceOperator
-from helpers import random_pure_state
+from helpers import count_lapack, random_pure_state, reference_dilation_residual
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
 
@@ -339,6 +339,107 @@ class TestVerifyDilation:
         assert np.array_equal(x, [np.eye(2), np.diag([0.5, -1.0])])
 
 
+def _count_draws(monkeypatch):
+    """Record the arguments of every ``standard_normal`` of a new ``default_rng``."""
+    draws = []
+    make_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            draws.append(args)
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(make_rng(seed)))
+    return draws
+
+
+class TestSeededPairs:
+    """An int seed's observable pairs are drawn once per (d1, d2, n_samples, seed)."""
+
+    # every sourceop-ladder dimension (perfbench/workloads.py), then d1 != d2
+    DIMS = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 3), (3, 2), (4, 1), (1, 5))
+
+    @staticmethod
+    def _one_chunk(d1, d2):
+        return source_op._DRAW_ENTRIES // (d1 * d1 + d2 * d2)
+
+    def _cases(self):
+        rng = np.random.default_rng(71)
+        cases = []
+        for i, (d1, d2) in enumerate(self.DIMS):
+            st = random_pure_state(rng, d1, d2)
+            build = build_source_1xs if i % 2 == 0 else build_source_sx1
+            cases.append((st, build(schmidt_decompose(st), 2)))
+        return cases
+
+    def test_reuse_is_bit_identical(self):
+        source_op._seeded_pairs.cache_clear()
+        cases = self._cases()
+        for seed in (0, 1, 2**40):
+            for _ in range(2):  # the second pass reads the cache
+                # sizes interleaved: a key that left out a field would collide
+                for extra in (None, 0, 1):
+                    for st, op in cases:
+                        n = 5 if extra is None else self._one_chunk(op.d1, op.d2) + extra
+                        got = verify_dilation(op, st, n_samples=n, seed=seed)
+                        assert got == reference_dilation_residual(op, st, n, seed), (op.d1, op.d2)
+        info = source_op._seeded_pairs.cache_info()
+        # two cached sizes per dimension pair and seed; one chunk plus one streams
+        assert info.currsize == 2 * len(cases) * 3
+        assert info.hits == info.currsize
+
+    @pytest.mark.parametrize("make_seed", [
+        lambda: np.random.SeedSequence(5),
+        lambda: np.random.default_rng(5),
+        lambda: [1, 2],
+        lambda: np.int64(3),
+    ], ids=["SeedSequence", "Generator", "list", "int64"])
+    def test_other_seeds_stream(self, make_seed):
+        st, op = self._cases()[5]
+        source_op._seeded_pairs.cache_clear()
+        seed, ref_seed = make_seed(), make_seed()
+        for _ in range(2):  # a Generator moves on between calls, as before
+            got = verify_dilation(op, st, n_samples=20, seed=seed)
+            assert got == reference_dilation_residual(op, st, 20, ref_seed)
+        assert source_op._seeded_pairs.cache_info().currsize == 0
+
+    def test_second_call_draws_nothing(self, monkeypatch):
+        source_op._seeded_pairs.cache_clear()
+        st, op = self._cases()[1]
+        first = verify_dilation(op, st, n_samples=20, seed=3)
+        draws = _count_draws(monkeypatch)
+        calls = count_lapack(monkeypatch)
+        assert verify_dilation(op, st, n_samples=20, seed=3) == first
+        assert draws == [] and calls["eigvalsh"] == 0
+        verify_dilation(op, st, n_samples=21, seed=3)  # a new key draws once, one eigvalsh a site
+        assert len(draws) == 1 and calls["eigvalsh"] == 2
+
+    def test_large_requests_bypass_the_cache(self):
+        source_op._seeded_pairs.cache_clear()
+        st = random_pure_state(np.random.default_rng(73), 32, 32)
+        op = build_source_1xs(schmidt_decompose(st), 1)
+        got = verify_dilation(op, st, n_samples=20, seed=0)  # 20 x 2048 entries: ten chunks
+        assert got == reference_dilation_residual(op, st, 20, 0)
+        assert source_op._seeded_pairs.cache_info().currsize == 0
+        st, op = self._cases()[0]
+        n = self._one_chunk(2, 2)
+        verify_dilation(op, st, n_samples=n + 1, seed=0)
+        assert source_op._seeded_pairs.cache_info().currsize == 0
+        verify_dilation(op, st, n_samples=n, seed=0)
+        assert source_op._seeded_pairs.cache_info().currsize == 1
+
+    def test_cached_pairs_are_read_only(self):
+        for x in source_op._seeded_pairs(2, 3, 4, 0):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x.setflags(write=True)
+            with pytest.raises(ValueError):
+                x[0, 0, 0] = 1.0
+
+
 class TestFactorisedPath:
     def test_builders_match_kron_reference(self):
         for st, op in _oracle_cases():
@@ -618,6 +719,36 @@ class TestClosedForm:
         assert abs(source_op._schmidt_trace_norm(sd.coefficients, 4) - want) > 1e-13 * want
         # the same data with its own bases is tagged
         assert build_source_1xs(sd, 4).matrix.schmidt is not None
+
+
+    def test_guard_is_at_least_the_spectral_bound(self):
+        # the guard bounds ||G - I|| by the Frobenius norm: it refuses every
+        # basis pair the spectral-norm bound refuses, and sometimes more
+        rng = np.random.default_rng(101)
+        sd = schmidt_decompose(_rank_state(rng, 4, 4))
+
+        def error_bound(bases, sizes, order):
+            growth = sum(s * math.log1p(np.linalg.norm(b @ b.conj().T - np.eye(len(b)), order))
+                         for b, s in zip(bases, sizes))
+            return math.expm1(growth)
+
+        verdicts = set()
+        for _ in range(300):
+            bases = [b + 10.0 ** rng.uniform(-16.0, -12.0) * (
+                rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
+                for b in (sd.left_basis, sd.right_basis)]
+            skewed = qstate.SchmidtData(coefficients=sd.coefficients, rank=sd.rank,
+                                        left_basis=bases[0], right_basis=bases[1],
+                                        truncation_tol=sd.truncation_tol)
+            s = int(rng.integers(1, 10))
+            sizes = (1, s) if rng.random() < 0.5 else (s, 1)
+            spectral, frobenius = (error_bound(bases, sizes, order) for order in (2, "fro"))
+            assert frobenius >= spectral
+            holds = source_op._closed_form_holds(skewed, *sizes)
+            assert holds == (frobenius < source_op.CLOSED_FORM_RTOL)
+            assert not (holds and spectral >= source_op.CLOSED_FORM_RTOL)
+            verdicts.add((holds, spectral < source_op.CLOSED_FORM_RTOL))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def _dense_trace_norm(m):
