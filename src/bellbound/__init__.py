@@ -63,14 +63,13 @@ from .qstate import (
     schmidt_decompose,
     schmidt_sum_squared,
 )
+from .serialize import source_operator_from_json, source_operator_to_json
 from .source_op import (
     SourceOperator,
     build_source_1xs,
     build_source_sx1,
     build_w_block,
     max_tensor_dim,
-    source_operator_from_json,
-    source_operator_to_json,
     trace_norm,
     verify_dilation,
 )

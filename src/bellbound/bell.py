@@ -23,8 +23,8 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .qstate import (_HERM_GROUP, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL, VALUE_SLACK,
-                     PureState, check_hermitian, schmidt_decompose)
+from .qstate import (_HERM_GROUP, CERTIFY_ATOL, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL,
+                     VALUE_SLACK, PureState, check_hermitian, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -32,9 +32,6 @@ ENUMERATION_GUARD = 10**7
 
 #: Chunk size for vectorized strategy enumeration.
 _CHUNK = 1 << 14
-
-#: Certification slack on the violation ratio.
-CERTIFY_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -464,6 +461,11 @@ def _best_response(amp, c0, row, c3, row_other, others):
     return ops, c0 + float((fixed + np.einsum("sij,sji->", ops, partial)).real)
 
 
+def _value_slack(f: BellFunctional) -> float:
+    """Float slack on a Bell value of ``f``: ``VALUE_SLACK * max(1, sum |phi|)``."""
+    return VALUE_SLACK * max(1.0, float(np.abs(f.phi).sum()))
+
+
 def seesaw_maximize(
     f: BellFunctional,
     state: PureState,
@@ -507,7 +509,7 @@ def seesaw_maximize(
     site1 = (amp, c0, row1, c3, row2)
     site2 = (amp.T, c0, row2, c3.T, row1)
     # float noise in the objective grows with the weights; so does the guard
-    slack = VALUE_SLACK * float(np.abs(f.phi).sum())
+    slack = _value_slack(f)
 
     best_val = -math.inf
     best_ops = None
@@ -552,11 +554,10 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
 
     Recomputes the classical extrema, forms ratio = |value| / b_lhv, and
     checks it against the lesser of the Schmidt-coefficient bound and the
-    dimension bound (slack 1e-6).  Also reports the interval that must
-    contain every quantum value of the functional and whether ``value`` lies
-    inside it, with a float slack of ``VALUE_SLACK * max(1, sum |phi|)``; the
-    see-saw's guard uses ``VALUE_SLACK * sum |phi|``, with no floor, so the two
-    scales agree only for ``sum |phi| >= 1``.  A NaN or infinite ``value`` raises
+    dimension bound (slack ``CERTIFY_ATOL``).  Also reports the interval that
+    must contain every quantum value of the functional and whether ``value``
+    lies inside it, with the float slack of :func:`_value_slack`, which the
+    see-saw's guard uses too.  A NaN or infinite ``value`` raises
     :class:`ValidationError`.
     """
     if not math.isfinite(value):
@@ -572,7 +573,7 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     b_dim = dimension_settings_bound(state.d1, state.d2, f.s1, f.s2)
     ratio = abs(value) / ext.b_lhv
     lo, hi = quantum_band(ext.b_sup, ext.b_inf, b_schmidt)
-    slack = VALUE_SLACK * max(1.0, float(np.abs(f.phi).sum()))
+    slack = _value_slack(f)
     return ViolationReport(
         quantum_value=float(value),
         b_lhv=ext.b_lhv,

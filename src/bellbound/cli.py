@@ -1,12 +1,15 @@
 """Command-line surface: JSON/CSV reports over the library.
 
 Exit codes: 0 success, 1 usage error, 2 validation/argument error,
-3 capacity error, 4 violate report with ``certified=false``.
+3 capacity error, 4 violate report with ``certified=false``.  Each command
+is a handler registered with its arguments by :func:`_command`; it returns
+its report, a dict or CSV text, and :func:`main` renders and writes it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -18,6 +21,7 @@ from .serialize import (
     complex_matrix_json,
     render_json,
     resolve_functional,
+    source_operator_to_json,
     state_from_json,
 )
 
@@ -59,80 +63,48 @@ def _extent_json(extent: float):
     return "infinite" if extent == bounds.INFINITE else int(extent)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bellbound", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schmidt", help="Schmidt decomposition of a state file")
-    p.add_argument("--input", required=True, help="state JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL,
-                   help="singular-value truncation tolerance (default 1e-12)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write report here instead of stdout")
-
-    p = sub.add_parser("bound", help="all applicable violation bounds for a state")
-    p.add_argument("--input", required=True, help="state JSON file")
-    p.add_argument("--s1", type=int, required=True, help="settings at site 1")
-    p.add_argument("--s2", type=int, required=True, help="settings at site 2")
-    p.add_argument("--projective", action="store_true",
-                   help="assert equal dims, equal settings, projective measurements")
-    p.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = sub.add_parser("source-op", help="build a source operator and check it")
-    p.add_argument("--input", required=True, help="state JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--s1", type=int, help="copies of site 1 (single copy of site 2)")
-    group.add_argument("--s2", type=int, help="copies of site 2 (single copy of site 1)")
-    p.add_argument("--check", action="store_true", help="verify the dilation property")
-    p.add_argument("--samples", type=int, default=20,
-                   help="observable pairs for --check (default 20)")
-    p.add_argument("--export", help="also write the operator matrix JSON here")
-    p.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = sub.add_parser("coherent", help="closed-form analysis of a coherent family")
-    p.add_argument("--family", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=coherent.DEFAULT_TAIL_TOL,
-                   help="Fock tail tolerance (default 1e-14)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = sub.add_parser("coherent-curve", help="violation-bound curve as CSV")
-    p.add_argument("--family", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--alpha-min", type=float, default=0.01)
-    p.add_argument("--alpha-max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = sub.add_parser("lhv", help="exact classical extrema of a functional")
-    p.add_argument("--functional", required=True,
-                   help='"chsh" or a functional JSON file')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-
-    p = sub.add_parser("violate", help="search and certify a quantum violation")
-    p.add_argument("--functional", required=True)
-    p.add_argument("--input", required=True, help="state JSON file")
-    p.add_argument("--value", type=float,
-                   help="certify this externally obtained value instead of searching")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="see-saw convergence tolerance (default 1e-12)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    return parser
+def _arg(*flags, **kwargs):
+    """One argument, as a function that adds it to a parser or a group."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
-def _cmd_schmidt(args) -> tuple[str, int]:
+def _one_of(*arguments):
+    """A required choice of exactly one of ``arguments``."""
+    def add(parser):
+        group = parser.add_mutually_exclusive_group(required=True)
+        for argument in arguments:
+            argument(group)
+    return add
+
+
+_INPUT = _arg("--input", required=True, help="state JSON file")
+_TRUNCATION_TOL = _arg("--tol", type=float, default=DEFAULT_TRUNCATION_TOL,
+                       help="singular-value truncation tolerance (default %(default)g)")
+_FAMILY = _arg("--family", type=int, required=True, choices=(1, 2, 3, 4))
+_FUNCTIONAL = _arg("--functional", required=True, help='"chsh" or a functional JSON file')
+_SHARED = (
+    _arg("--seed", type=int, default=0,
+         help="seed of any random draw, echoed in the report (default %(default)s)"),
+    _arg("--output", help="write the report here instead of stdout"),
+)
+
+#: ``(name, help, handler, arguments)`` of every command, in the order of ``bellbound -h``.
+_COMMANDS = []
+
+
+def _command(name: str, help: str, *arguments):
+    """Register a handler as command ``name``: ``arguments``, then ``--seed`` and ``--output``."""
+    def register(handler):
+        _COMMANDS.append((name, help, handler, arguments + _SHARED))
+        return handler
+    return register
+
+
+@_command("schmidt", "Schmidt decomposition of a state file", _INPUT, _TRUNCATION_TOL)
+def _cmd_schmidt(args) -> dict:
     state, _, _ = _load_state(args.input)
     sd = schmidt_decompose(state, truncation_tol=args.tol)
-    report = {
+    return {
         "coefficients": sd.coefficients.tolist(),
         "rank": sd.rank,
         "sum_squared": schmidt_sum_squared(sd),
@@ -143,10 +115,15 @@ def _cmd_schmidt(args) -> tuple[str, int]:
         "truncation_tol": sd.truncation_tol,
         "seed": args.seed,
     }
-    return render_json(report), EXIT_OK
 
 
-def _cmd_bound(args) -> tuple[str, int]:
+@_command("bound", "all applicable violation bounds for a state", _INPUT,
+          _arg("--s1", type=int, required=True, help="settings at site 1"),
+          _arg("--s2", type=int, required=True, help="settings at site 2"),
+          _arg("--projective", action="store_true",
+               help="assert equal dims, equal settings, projective measurements"),
+          _TRUNCATION_TOL)
+def _cmd_bound(args) -> dict:
     state, ext1, ext2 = _load_state(args.input)
     sd = schmidt_decompose(state, truncation_tol=args.tol)
     rep = bounds.bound_report(
@@ -167,10 +144,18 @@ def _cmd_bound(args) -> tuple[str, int]:
     }
     if rep.projective is not None:
         report["projective_bound"] = rep.projective
-    return render_json(report), EXIT_OK
+    return report
 
 
-def _cmd_source_op(args) -> tuple[str, int]:
+@_command("source-op", "build a source operator and check it", _INPUT,
+          _one_of(_arg("--s1", type=int, help="copies of site 1 (single copy of site 2)"),
+                  _arg("--s2", type=int, help="copies of site 2 (single copy of site 1)")),
+          _arg("--check", action="store_true", help="verify the dilation property"),
+          _arg("--samples", type=int, default=20,
+               help="observable pairs for --check (default %(default)s)"),
+          _arg("--export", help="also write the operator matrix JSON here"),
+          _TRUNCATION_TOL)
+def _cmd_source_op(args) -> dict:
     state, _, _ = _load_state(args.input)
     sd = schmidt_decompose(state, truncation_tol=args.tol)
     if args.s1 is not None:
@@ -197,18 +182,21 @@ def _cmd_source_op(args) -> tuple[str, int]:
         report["samples"] = args.samples
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(render_json(source_op.source_operator_to_json(op)))
-    return render_json(report), EXIT_OK
+            fh.write(render_json(source_operator_to_json(op)))
+    return report
 
 
-def _cmd_coherent(args) -> tuple[str, int]:
+@_command("coherent", "closed-form analysis of a coherent family", _FAMILY,
+          _arg("--alpha", type=float, required=True),
+          _arg("--tol", type=float, default=coherent.DEFAULT_TAIL_TOL,
+               help="Fock tail tolerance (default %(default)g)"))
+def _cmd_coherent(args) -> dict:
     fam = coherent.CoherentFamily(args.family, args.alpha)
     trunc = coherent.fock_truncation(fam.alpha, tail_tol=args.tol)
-    lam = coherent.reduced_eigenvalues(fam)
-    report = {
+    return {
         "family": fam.family,
         "alpha": fam.alpha,
-        "eigenvalues": list(lam),
+        "eigenvalues": list(coherent.reduced_eigenvalues(fam)),
         "bound": coherent.coherent_violation_bound(fam),
         "overlap_x": fam.overlap_x,
         "cutoff": trunc.cutoff,
@@ -216,20 +204,22 @@ def _cmd_coherent(args) -> tuple[str, int]:
         "tail_tol": args.tol,
         "seed": args.seed,
     }
-    return render_json(report), EXIT_OK
 
 
-def _cmd_coherent_curve(args) -> tuple[str, int]:
+@_command("coherent-curve", "violation-bound curve as CSV", _FAMILY,
+          _arg("--alpha-min", type=float, default=0.01),
+          _arg("--alpha-max", type=float, default=3.0),
+          _arg("--steps", type=int, default=300))
+def _cmd_coherent_curve(args) -> str:
     points = coherent.bound_curve(args.family, args.alpha_min, args.alpha_max, args.steps)
-    lines = ["alpha,bound"]
-    lines += [f"{a:.12g},{b:.12g}" for a, b in points]
-    return "\n".join(lines) + "\n", EXIT_OK
+    return "".join(["alpha,bound\n"] + [f"{a:.12g},{b:.12g}\n" for a, b in points])
 
 
-def _cmd_lhv(args) -> tuple[str, int]:
+@_command("lhv", "exact classical extrema of a functional", _FUNCTIONAL)
+def _cmd_lhv(args) -> dict:
     f = resolve_functional(args.functional)
     ext = bell.lhv_extrema(f)
-    report = {
+    return {
         "b_sup": ext.b_sup,
         "b_inf": ext.b_inf,
         "b_lhv": ext.b_lhv,
@@ -245,53 +235,41 @@ def _cmd_lhv(args) -> tuple[str, int]:
         "s2": f.s2,
         "seed": args.seed,
     }
-    return render_json(report), EXIT_OK
 
 
-def _cmd_violate(args) -> tuple[str, int]:
+@_command("violate", "search and certify a quantum violation", _FUNCTIONAL, _INPUT,
+          _arg("--value", type=float,
+               help="certify this externally obtained value instead of searching"),
+          _arg("--restarts", type=int, default=10),
+          _arg("--iters", type=int, default=200),
+          _arg("--tol", type=float, default=1e-12,
+               help="see-saw convergence tolerance (default %(default)g)"))
+def _cmd_violate(args) -> dict:
     f = resolve_functional(args.functional)
     state, _, _ = _load_state(args.input)
-    if args.value is not None:
-        value = args.value
-        searched = False
-    else:
-        value, _ = bell.seesaw_maximize(
-            f,
-            state,
-            restarts=args.restarts,
-            max_iters=args.iters,
-            tol=args.tol,
-            seed=args.seed,
-        )
-        searched = True
-    rep = bell.certify(f, state, value)
-    report = {
-        "quantum_value": rep.quantum_value,
-        "b_lhv": rep.b_lhv,
-        "ratio": rep.ratio,
-        "bound_schmidt_settings": rep.bound_schmidt_settings,
-        "bound_dimension_settings": rep.bound_dimension_settings,
-        "certified": rep.certified,
-        "band": list(rep.band),
-        "value_in_band": rep.value_in_band,
+    value, searched = args.value, args.value is None
+    if searched:
+        value, _ = bell.seesaw_maximize(f, state, restarts=args.restarts,
+                                        max_iters=args.iters, tol=args.tol, seed=args.seed)
+    return {
+        **dataclasses.asdict(bell.certify(f, state, value)),
         "seesaw": searched,
         "restarts": args.restarts if searched else 0,
         "iters": args.iters if searched else 0,
         "tol": args.tol,
         "seed": args.seed,
     }
-    return render_json(report), EXIT_OK if rep.certified else EXIT_UNCERTIFIED
 
 
-_HANDLERS = {
-    "schmidt": _cmd_schmidt,
-    "bound": _cmd_bound,
-    "source-op": _cmd_source_op,
-    "coherent": _cmd_coherent,
-    "coherent-curve": _cmd_coherent_curve,
-    "lhv": _cmd_lhv,
-    "violate": _cmd_violate,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="bellbound", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for argument in arguments:
+            argument(p)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -302,20 +280,21 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        text, code = _HANDLERS[args.command](args)
+        report = args.handler(args)
+        text = report if isinstance(report, str) else render_json(report)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (BellboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    uncertified = isinstance(report, dict) and report.get("certified") is False
+    return EXIT_UNCERTIFIED if uncertified else EXIT_OK
 
 
 def entry() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegeneracyError
-from .qstate import PureState
+from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState
 
 #: Default bound on the coherent-state mass left above an automatic cutoff.
 DEFAULT_TAIL_TOL = 1e-14
@@ -30,8 +30,9 @@ MIN_AUTO_CUTOFF = 16
 #: Automatic cutoffs never go above this photon number; past it the request
 #: is a capacity error.  At the default tail tolerance that admits alpha up to
 #: about 28.25, so the Fock amplitudes, which start at exp(-alpha^2/2), stay
-#: far from underflow.  :func:`fock_state` refuses explicit cutoffs above it
-#: too, since its amplitude matrix grows with the cutoff squared.
+#: far from underflow.  :func:`check_fock_cutoff` refuses explicit cutoffs
+#: above it too, since a family state's amplitude matrix grows with the
+#: cutoff squared.
 MAX_AUTO_CUTOFF = 1024
 
 #: Most samples :func:`bound_curve` takes; past it the request is a capacity
@@ -39,7 +40,9 @@ MAX_AUTO_CUTOFF = 1024
 #: machine, and memory grows linearly with the step count.
 MAX_CURVE_STEPS = 10**6
 
-_MINUS_FAMILIES = (3, 4)
+#: ``(sign, crossed)`` of each family: ``|a>|b> + sign |-a>|-b>`` with
+#: ``b = a`` uncrossed and ``b = -a`` crossed.
+_FAMILIES = {1: (1.0, False), 2: (1.0, True), 3: (-1.0, False), 4: (-1.0, True)}
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def gram_schmidt_basis(alpha: float, trunc: FockTruncation) -> tuple[np.ndarray,
     x = exp(-2 alpha^2), so that |-alpha> = x u1 + sqrt(1 - x^2) u2.
     """
     x = math.exp(-2.0 * alpha * alpha)
-    if 1.0 - x * x < 1e-14:
+    if 1.0 - x * x < PARALLEL_ATOL:
         raise DegeneracyError(
             f"|alpha> and |-alpha> are numerically parallel at alpha={alpha!r} "
             f"(1 - x^2 = {1.0 - x * x:.3e})"
@@ -244,7 +247,7 @@ def reduced_eigenvalues(fam: CoherentFamily) -> tuple[float, float]:
     Families 1 and 2: (1 ± x)^2 / (2 (1 + x^2)) with x = exp(-2 alpha^2);
     families 3 and 4: exactly (1/2, 1/2).
     """
-    if fam.family in _MINUS_FAMILIES:
+    if _FAMILIES[fam.family][0] < 0:
         return (0.5, 0.5)
     x = fam.overlap_x
     denom = 2.0 * (1.0 + x * x)
@@ -257,45 +260,41 @@ def coherent_violation_bound(fam: CoherentFamily) -> float:
     (3 - x^2) / (1 + x^2) for families 1 and 2 (x = exp(-2 alpha^2)), and
     exactly 3 for families 3 and 4; climbs from 1 to 3 as alpha grows.
     """
-    if fam.family in _MINUS_FAMILIES:
+    if _FAMILIES[fam.family][0] < 0:
         return 3.0
     x2 = fam.overlap_x ** 2
     return (3.0 - x2) / (1.0 + x2)
 
 
+def check_fock_cutoff(cutoff: int) -> None:
+    """Refuse a Fock cutoff above ``MAX_AUTO_CUTOFF`` with a capacity error."""
+    if cutoff > MAX_AUTO_CUTOFF:
+        raise CapacityError(
+            f"Fock cutoff {cutoff} is above the largest supported cutoff "
+            f"{MAX_AUTO_CUTOFF}; the amplitude matrix grows with its square"
+        )
+
+
 def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     """Family state as a truncated two-mode Fock amplitude matrix.
 
-    Built from the truncated coherent vectors with the family's closed-form
-    normalization, then renormalized exactly; the residual must stay below
-    1e-6 or the cutoff is deemed insufficient.  A cutoff above
-    ``MAX_AUTO_CUTOFF`` is a capacity error, raised before anything is
-    allocated.
+    Built from the truncated coherent vectors ``p = |alpha>`` and
+    ``m = |-alpha>`` as ``outer(p, a) + sign outer(m, b)``, with ``(a, b)``
+    ``(m, p)`` for a crossed family and ``(p, m)`` otherwise, over the
+    closed-form normalization ``sqrt(2 (1 + sign x^2))``; then renormalized
+    exactly.  The residual must stay below ``FOCK_NORM_ATOL`` or the cutoff
+    is deemed insufficient.  A cutoff above ``MAX_AUTO_CUTOFF`` is a capacity
+    error (:func:`check_fock_cutoff`), raised before anything is allocated.
     """
-    if trunc.cutoff > MAX_AUTO_CUTOFF:
-        raise CapacityError(
-            f"Fock cutoff {trunc.cutoff} is above the largest supported cutoff "
-            f"{MAX_AUTO_CUTOFF}; the amplitude matrix grows with its square"
-        )
-    alpha = fam.alpha
-    p = coherent_fock_vector(1, alpha, trunc)
-    m = coherent_fock_vector(-1, alpha, trunc)
-    x2 = fam.overlap_x ** 2
-    if fam.family == 1:
-        raw = np.outer(p, p) + np.outer(m, m)
-        denom = math.sqrt(2.0 * (1.0 + x2))
-    elif fam.family == 2:
-        raw = np.outer(p, m) + np.outer(m, p)
-        denom = math.sqrt(2.0 * (1.0 + x2))
-    elif fam.family == 3:
-        raw = np.outer(p, p) - np.outer(m, m)
-        denom = math.sqrt(2.0 * (1.0 - x2))
-    else:
-        raw = np.outer(p, m) - np.outer(m, p)
-        denom = math.sqrt(2.0 * (1.0 - x2))
-    amp = raw / denom
+    check_fock_cutoff(trunc.cutoff)
+    sign, crossed = _FAMILIES[fam.family]
+    p = coherent_fock_vector(1, fam.alpha, trunc)
+    m = coherent_fock_vector(-1, fam.alpha, trunc)
+    a, b = (m, p) if crossed else (p, m)
+    denom = math.sqrt(2.0 * (1.0 + sign * fam.overlap_x ** 2))
+    amp = (np.outer(p, a) + sign * np.outer(m, b)) / denom
     residual = abs(float(np.linalg.norm(amp)) - 1.0)
-    if residual > 1e-6:
+    if residual > FOCK_NORM_ATOL:
         raise CapacityError(
             f"cutoff {trunc.cutoff} distorts the family normalization by "
             f"{residual:.3e}; increase the cutoff"
@@ -310,11 +309,12 @@ def bell_limit_fidelity(fam: int, alpha: float, trunc: FockTruncation) -> float:
     (|1,0> - |0,1>)/sqrt(2), discarding the global sign; as alpha -> 0 the
     fidelity tends to 1 with closed form [2 alpha e^(-alpha^2) / sqrt(1 - e^(-4 alpha^2))]^2.
     """
-    if fam not in _MINUS_FAMILIES:
+    family = CoherentFamily(fam, alpha)
+    sign, crossed = _FAMILIES[family.family]
+    if sign > 0:
         raise ValueError(f"Bell-limit fidelity applies to families 3 and 4 only, got {fam}")
-    amp = fock_state(CoherentFamily(fam, alpha), trunc).amplitudes
-    sign = 1.0 if fam == 3 else -1.0
-    overlap = (amp[1, 0] + sign * amp[0, 1]) / math.sqrt(2.0)
+    amp = fock_state(family, trunc).amplitudes
+    overlap = (amp[1, 0] + (-1.0 if crossed else 1.0) * amp[0, 1]) / math.sqrt(2.0)
     return float(abs(overlap) ** 2)
 
 

@@ -25,7 +25,16 @@ PSD_ATOL = 1e-10  #: -(min eigenvalue) of a positive-semidefinite operator
 POVM_SUM_ATOL = 1e-10  #: max entry of |sum_a E_a - I| of a POVM
 GRAM_DET_ATOL = 1e-12  #: Gram determinant above which two vectors are independent
 LHV_ZERO_ATOL = 1e-12  #: |classical bound| from which a violation ratio is defined
-VALUE_SLACK = 1e-9  #: float slack on a Bell value, per unit of sum |phi| of the functional
+VALUE_SLACK = 1e-9  #: float slack on a Bell value, per unit of max(1, sum |phi|) of the functional
+CERTIFY_ATOL = 1e-6  #: slack on a violation ratio against the lesser closed-form bound
+FOCK_NORM_ATOL = 1e-6  #: | ||amplitudes|| - 1 | a Fock truncation may leave in a family state
+PARALLEL_ATOL = 1e-14  #: 1 - |<u|v>|^2 below which two unit vectors are parallel
+
+# Path tolerances: every threshold that decides how a result is computed.
+CLOSED_FORM_RTOL = 1e-12  #: relative error of a built source operator's closed-form trace norm
+EQUAL_VECTOR_ATOL = 1e-14  #: max entry of |a - b| of basis vectors taken as one (diagonal W block)
+PIVOT_ATOL = 1e-12  #: smallest |entry| of a Schmidt vector that fixes its phase
+ZERO_NORM_ATOL = 1e-12  #: operator norm below which a sampled observable is zero (and made I)
 
 #: Singular values at or below this are discarded as numerical zeros.
 DEFAULT_TRUNCATION_TOL = 1e-12
@@ -292,7 +301,7 @@ def schmidt_decompose(
     left = np.ascontiguousarray(u[:, keep].T)
     right = np.ascontiguousarray(vh[keep, :])
     # every row is a unit vector, so it has an entry of size >= 1/sqrt(d1)
-    pivots = left[np.arange(rank), (np.abs(left) > 1e-12).argmax(axis=1)]
+    pivots = left[np.arange(rank), (np.abs(left) > PIVOT_ATOL).argmax(axis=1)]
     # np.hypot rounds as the scalar abs(pivot) does; np.abs of a complex
     # array need not, so the bases would differ in the last bit
     phases = pivots / np.hypot(pivots.real, pivots.imag)

@@ -1,4 +1,4 @@
-"""JSON schemas shared by the CLI: states, functionals, reports.
+"""Every JSON format of the package: states, functionals, source operators, reports.
 
 States come in three forms::
 
@@ -20,9 +20,10 @@ import numpy as np
 
 from .bell import BellFunctional, OutcomeSet, chsh_functional
 from .bounds import INFINITE
-from .coherent import CoherentFamily, fock_state, fock_truncation
+from .coherent import CoherentFamily, check_fock_cutoff, fock_state, fock_truncation
 from .errors import ValidationError
 from .qstate import PureState
+from .source_op import SourceOperator
 
 
 def sig12(x: float) -> float:
@@ -124,6 +125,8 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
         if cutoff != "auto":
             cutoff = json_int(obj, "cutoff", "coherent state")
         fam = CoherentFamily(family, float(alpha))
+        if cutoff != "auto":
+            check_fock_cutoff(cutoff)  # before the tail, which sums cutoff + 1 terms
         trunc = fock_truncation(fam.alpha, cutoff=cutoff)
         return fock_state(fam, trunc), INFINITE, INFINITE
     raise ValidationError(f"unknown state type {kind!r}")
@@ -170,3 +173,26 @@ def resolve_functional(spec: str) -> BellFunctional:
         return chsh_functional()
     with open(spec, encoding="utf-8") as fh:
         return functional_from_json(json.load(fh))
+
+
+def source_operator_to_json(T: SourceOperator) -> dict:
+    """``{"s1", "s2", "d1", "d2", "re", "im"}``: the sizes, then the matrix's parts."""
+    return {"s1": T.s1, "s2": T.s2, "d1": T.d1, "d2": T.d2, **complex_matrix_json(T.matrix)}
+
+
+def source_operator_from_json(obj: dict) -> SourceOperator:
+    """Inverse of :func:`source_operator_to_json`."""
+    what = "source operator"
+    sizes = {key: json_int(obj, key, what) for key in ("s1", "s2", "d1", "d2")}
+    re = json_reals(obj, "re", what)
+    im = json_reals(obj, "im", what)
+    # checked before combining, where NumPy would broadcast a row or a
+    # scalar `im`; SourceOperator then checks the size against d1^s1*d2^s2
+    if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
+        raise ValidationError(
+            f"source operator arrays must be square and of one shape, got "
+            f"{re.shape} and {im.shape}"
+        )
+    matrix = np.empty(re.shape, dtype=complex)
+    matrix.real, matrix.imag = re, im  # bit for bit: re + 1j*im drops the sign of -0.0
+    return SourceOperator(matrix=matrix, **sizes)

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .qstate import (HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, PureState, SchmidtData,
+from .qstate import (CLOSED_FORM_RTOL, EQUAL_VECTOR_ATOL, HERM_ATOL_SOURCE,
+                     HERM_ATOL_TRACE_NORM, ZERO_NORM_ATOL, PureState, SchmidtData,
                      _HERM_BLOCK, _asymmetry, check_hermitian)
-from .serialize import json_int, json_reals
 
 #: Default cap on the total dimension d1^s1 * d2^s2 of a source operator.
 DEFAULT_MAX_DIM = 4096
@@ -217,18 +217,10 @@ def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"basis vectors differ in length: {a.shape} vs {b.shape}")
     d = len(a)
     _guard_dim(d**s, f"w block with d={d}, s={s}")
-    kets, bras, weights = _w_terms(a[None], b[None], s, bool(np.allclose(a, b, atol=1e-14)))
+    diagonal = bool(np.allclose(a, b, atol=EQUAL_VECTOR_ATOL))
+    kets, bras, weights = _w_terms(a[None], b[None], s, diagonal)
     classes = _copy_classes(d, s)[0]
     return ((kets[0].T * weights) @ bras[0].conj()).take(classes, axis=1).take(classes, axis=0)
-
-
-#: Largest relative error the closed-form trace norm of a built matrix may
-#: carry from bases that are not exactly orthonormal (:func:`_closed_form_holds`).
-#: Bases from :func:`schmidt_decompose` keep the bound, in the Frobenius
-#: norm, some 57 times below it: 1.75e-14 at worst (1.64e-14 in the spectral
-#: norm) over 10,800 random rank-2 and full-rank states at the ladder's
-#: d = 2..8 with up to 9 copies (N <= 1296), both builders.
-CLOSED_FORM_RTOL = 1e-12
 
 
 def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
@@ -249,7 +241,10 @@ def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
     for ``delta`` the larger deviation.  True when the middle bound is below
     ``CLOSED_FORM_RTOL``; bases from :func:`schmidt_decompose` deviate by
     about 1e-15, while hand-made ones that :class:`SchmidtData` accepts may
-    deviate by up to 1e-10.  The Frobenius norm needs no SVD.
+    deviate by up to 1e-10.  The Frobenius norm needs no SVD.  Over 10,800
+    random rank-2 and full-rank states at d = 2..8 with up to 9 copies
+    (N <= 1296), both builders, the middle bound was 1.75e-14 at worst
+    (1.64e-14 in the spectral norm), 57 times below ``CLOSED_FORM_RTOL``.
     """
     growth = 0.0
     for basis, s in ((schmidt.left_basis, s1), (schmidt.right_basis, s2)):
@@ -419,7 +414,7 @@ def _unit_hermitian(parts: np.ndarray) -> np.ndarray:
     g = parts[:, 0] + 1j * parts[:, 1]
     h = (g + g.conj().swapaxes(-1, -2)) / 2.0
     scale = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    small = scale < 1e-12  # probability zero; keep the check total
+    small = scale < ZERO_NORM_ATOL  # probability zero; keep the check total
     h[small] = np.eye(d)
     scale[small] = 1.0
     return h / scale[:, None, None]
@@ -516,27 +511,3 @@ def verify_dilation(
         got = np.einsum("pbdn,ndb->np", np.tensordot(marginals, x1, ([1, 3], [2, 1])), x2)
         worst = max(worst, float(np.max(np.abs(got - want[:, None]))))
     return worst
-
-
-def source_operator_to_json(T: SourceOperator) -> dict:
-    """Plain-JSON form of a source operator (real and imaginary parts)."""
-    return {"s1": T.s1, "s2": T.s2, "d1": T.d1, "d2": T.d2,
-            "re": T.matrix.real.tolist(), "im": T.matrix.imag.tolist()}
-
-
-def source_operator_from_json(obj: dict) -> SourceOperator:
-    """Inverse of :func:`source_operator_to_json`."""
-    what = "source operator"
-    sizes = {key: json_int(obj, key, what) for key in ("s1", "s2", "d1", "d2")}
-    re = json_reals(obj, "re", what)
-    im = json_reals(obj, "im", what)
-    # checked before combining, where NumPy would broadcast a row or a
-    # scalar `im`; SourceOperator then checks the size against d1^s1*d2^s2
-    if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
-        raise ValidationError(
-            f"source operator arrays must be square and of one shape, got "
-            f"{re.shape} and {im.shape}"
-        )
-    matrix = np.empty(re.shape, dtype=complex)
-    matrix.real, matrix.imag = re, im  # bit for bit: re + 1j*im drops the sign of -0.0
-    return SourceOperator(matrix=matrix, **sizes)

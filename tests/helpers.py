@@ -227,6 +227,33 @@ def reference_dilation_residual(op, state, n_samples, seed):
     return worst
 
 
+def reference_fock_state(fam, trunc):
+    """Amplitudes of ``fock_state`` as its four explicit family branches built them.
+
+    The library builds them from one ``(sign, crossed)`` table; this is the
+    branch-per-family form it replaced, kept to compare bit for bit.
+    """
+    from bellbound import coherent_fock_vector
+
+    p = coherent_fock_vector(1, fam.alpha, trunc)
+    m = coherent_fock_vector(-1, fam.alpha, trunc)
+    x2 = fam.overlap_x ** 2
+    if fam.family == 1:
+        raw = np.outer(p, p) + np.outer(m, m)
+        denom = math.sqrt(2.0 * (1.0 + x2))
+    elif fam.family == 2:
+        raw = np.outer(p, m) + np.outer(m, p)
+        denom = math.sqrt(2.0 * (1.0 + x2))
+    elif fam.family == 3:
+        raw = np.outer(p, p) - np.outer(m, m)
+        denom = math.sqrt(2.0 * (1.0 - x2))
+    else:
+        raw = np.outer(p, m) - np.outer(m, p)
+        denom = math.sqrt(2.0 * (1.0 - x2))
+    amp = raw / denom
+    return PureState(amp / np.linalg.norm(amp)).amplitudes
+
+
 def count_lapack(monkeypatch):
     """Count calls of ``np.linalg.cholesky`` and ``np.linalg.eigvalsh`` from now on."""
     calls = {"cholesky": 0, "eigvalsh": 0}

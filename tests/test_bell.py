@@ -1,5 +1,6 @@
 """Classical extrema, quantum values, see-saw search, and certification."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -666,6 +667,26 @@ class TestSeesaw:
         monkeypatch.setattr(bell_module, "_sign_observables", lambda h: -best(h))
         with pytest.raises(RuntimeError, match="objective decreased"):
             seesaw_maximize(chsh_functional(), BELL, restarts=1)
+
+    @pytest.mark.parametrize("drop, trips", [(0.5e-9, False), (2e-9, True)])
+    def test_guard_takes_the_band_slack(self, drop, trips, monkeypatch):
+        # at sum |phi| = 1e-3 the guard allows VALUE_SLACK * max(1, 1e-3) = 1e-9,
+        # the slack of certify's band (TestCertify.test_band_slack_scales_with_weights)
+        f = chsh_functional()
+        tiny = BellFunctional(f.outcomes1, f.outcomes2, f.phi * (1e-3 / 16))
+        assert bell_module._value_slack(tiny) == 1e-9
+        # the second half-sweep reports the first one's value less `drop`
+        best, values = bell_module._best_response, []
+
+        def lagging(*args):
+            ops, value = best(*args)
+            values.append(values[1] - drop if len(values) == 2 else value)
+            return ops, values[-1]
+
+        monkeypatch.setattr(bell_module, "_best_response", lagging)
+        with (pytest.raises(RuntimeError, match="objective decreased") if trips
+              else contextlib.nullcontext()):
+            seesaw_maximize(tiny, BELL, restarts=1, max_iters=1)
 
     @pytest.mark.parametrize("s1, s2", [(3, 2), (2, 4)])
     def test_one_eigh_per_half_sweep(self, s1, s2, monkeypatch):

@@ -400,6 +400,12 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in err
 
+    def test_unwritable_output_is_validation_exit(self, capsys, tmp_path, bell_file):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["schmidt", "--input", bell_file, "--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -426,6 +432,17 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert "cutoff 20000" in err
+
+    def test_cutoff_refused_before_the_tail(self, capsys, tmp_path):
+        # below alpha^2 the Poisson tail sums cutoff + 1 terms: seconds at 10^7
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps(
+            {"type": "coherent", "family": 1, "alpha": 1e6, "cutoff": 10_000_000}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert time.perf_counter() - start < 0.3
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "cutoff 10000000" in err
 
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"

@@ -37,3 +37,14 @@ def test_report_matches_capture(case, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_file_holds_the_capture(case, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(GOLDEN)
+    target = tmp_path / "report.out"
+    assert main(CASES[case] + ["--output", str(target)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "")
+    want = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert target.read_text(encoding="utf-8") == want

@@ -28,6 +28,7 @@ from bellbound import (
 )
 from bellbound import coherent
 from bellbound.coherent import MAX_AUTO_CUTOFF
+from helpers import reference_fock_state
 
 
 def _fidelity_limit(alpha):
@@ -284,6 +285,14 @@ class TestFockState:
         anti = fock_state(CoherentFamily(4, 0.7), trunc).amplitudes
         assert np.max(np.abs(sym - sym.T)) < 1e-14
         assert np.max(np.abs(anti + anti.T)) < 1e-14
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    def test_family_table_matches_the_four_branches(self, family):
+        for alpha in np.geomspace(1e-3, 5.0, 60):
+            fam = CoherentFamily(family, float(alpha))
+            trunc = fock_truncation(fam.alpha)
+            got = fock_state(fam, trunc).amplitudes
+            assert np.array_equal(got, reference_fock_state(fam, trunc)), alpha
 
     def test_explicit_cutoff_above_cap_refused(self):
         trunc = fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
