@@ -68,7 +68,6 @@ from .source_op import (
     SourceOperator,
     build_source_1xs,
     build_source_sx1,
-    build_w_block,
     max_tensor_dim,
     trace_norm,
     verify_dilation,
@@ -103,7 +102,6 @@ __all__ = [
     "bound_report",
     "build_source_1xs",
     "build_source_sx1",
-    "build_w_block",
     "certify",
     "chsh_functional",
     "coherent_fock_vector",

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .qstate import (_HERM_GROUP, CERTIFY_ATOL, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL,
-                     VALUE_SLACK, PureState, check_hermitian, schmidt_decompose)
+                     VALUE_SLACK, PureState, check_hermitian, readonly, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -76,8 +76,7 @@ class BellFunctional:
             )
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi entries must be finite")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", readonly(phi))
 
     @property
     def s1(self) -> int:
@@ -123,8 +122,7 @@ def _checked_site(povms, site_no: int) -> tuple[tuple[np.ndarray, ...], ...]:
             dim = m.shape[0] if dim is None else dim
             if m.shape[0] != dim:
                 raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
-            m.setflags(write=False)
-            elements.append(m)
+            elements.append(readonly(m))
         dev = float(np.max(np.abs(sum(elements) - np.eye(dim))))
         if dev > POVM_SUM_ATOL:
             raise ValidationError(
@@ -170,8 +168,7 @@ def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
             check_hermitian(group.reshape(-1, dim, dim), "site", HERM_ATOL_POVM, psd=True)
         except ValidationError:
             return None
-    stack.setflags(write=False)
-    return tuple(tuple(povm) for povm in stack)
+    return tuple(tuple(povm) for povm in readonly(stack))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegeneracyError
-from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState
+from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState, readonly
 
 #: Default bound on the coherent-state mass left above an automatic cutoff.
 DEFAULT_TAIL_TOL = 1e-14
@@ -93,12 +93,15 @@ def _poisson_tail(alpha: float, cutoff: int) -> float:
     large alpha is.  Below the mean the head is summed and subtracted from 1;
     above it the terms fall geometrically and are summed until they stop
     adding to the total.  Where ``alpha^2`` underflows to 0 the tail is 0,
-    and where it overflows to infinity the tail is 1.
+    and where it overflows to infinity the tail is 1.  It is 1 as well for a
+    cutoff over 40 standard deviations (``40 alpha``) below the mean: the
+    head's mass is below ``exp(-40^2 / 2) = e^-800`` (Chernoff), every term
+    underflows to 0, and the sum would give exactly 1.0 too.
     """
     lam = alpha * alpha
     if lam == 0.0:
         return 0.0
-    if lam == math.inf:
+    if lam == math.inf or cutoff < lam - 40.0 * alpha:
         return 1.0
     log_lam = math.log(lam)
 
@@ -181,9 +184,16 @@ def coherent_fock_vector(sign: int, alpha: float, trunc: FockTruncation) -> np.n
             f"deviates from 1 by {abs(1.0 / norm - 1.0):.3e} "
             f"(tail tolerance {trunc.tail_tol:.0e})"
         )
-    out = (vec / norm).astype(complex)
-    out.setflags(write=False)
-    return out
+    return readonly((vec / norm).astype(complex))
+
+
+def _check_not_parallel(alpha: float, x: float) -> None:
+    """Refuse ``|alpha>`` and ``|-alpha>`` of overlap ``x`` with ``1 - x^2`` below PARALLEL_ATOL."""
+    if 1.0 - x * x < PARALLEL_ATOL:
+        raise DegeneracyError(
+            f"|alpha> and |-alpha> are numerically parallel at alpha={alpha!r} "
+            f"(1 - x^2 = {1.0 - x * x:.3e})"
+        )
 
 
 def gram_schmidt_basis(alpha: float, trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
@@ -193,17 +203,10 @@ def gram_schmidt_basis(alpha: float, trunc: FockTruncation) -> tuple[np.ndarray,
     x = exp(-2 alpha^2), so that |-alpha> = x u1 + sqrt(1 - x^2) u2.
     """
     x = math.exp(-2.0 * alpha * alpha)
-    if 1.0 - x * x < PARALLEL_ATOL:
-        raise DegeneracyError(
-            f"|alpha> and |-alpha> are numerically parallel at alpha={alpha!r} "
-            f"(1 - x^2 = {1.0 - x * x:.3e})"
-        )
+    _check_not_parallel(alpha, x)
     u1 = coherent_fock_vector(1, alpha, trunc)
     minus = coherent_fock_vector(-1, alpha, trunc)
-    u2 = (minus - x * u1) / math.sqrt(1.0 - x * x)
-    u2 = np.asarray(u2)
-    u2.setflags(write=False)
-    return u1, u2
+    return u1, readonly((minus - x * u1) / math.sqrt(1.0 - x * x))
 
 
 @dataclass(frozen=True)
@@ -217,8 +220,7 @@ class TwoModeAmplitudes:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"two-mode amplitude matrix must be 2x2, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", readonly(m))
 
 
 def two_mode_amplitudes(fam: CoherentFamily) -> TwoModeAmplitudes:
@@ -231,10 +233,9 @@ def two_mode_amplitudes(fam: CoherentFamily) -> TwoModeAmplitudes:
     elif fam.family == 2:
         m = np.array([[2.0 * x, c], [c, 0.0]])
         denom = math.sqrt(2.0 * (1.0 + x * x))
-    elif fam.family == 3:
-        y = 1.0 - x * x
-        m = np.array([[y, -x * c], [-x * c, -y]])
-        denom = math.sqrt(2.0 * y)
+    elif fam.family == 3:  # [[y, -xc], [-xc, -y]] / sqrt(2y) for y = c^2, finite at c = 0
+        m = np.array([[c, -x], [-x, -c]])
+        denom = math.sqrt(2.0)
     else:
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
         denom = math.sqrt(2.0)
@@ -284,10 +285,14 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     closed-form normalization ``sqrt(2 (1 + sign x^2))``; then renormalized
     exactly.  The residual must stay below ``FOCK_NORM_ATOL`` or the cutoff
     is deemed insufficient.  A cutoff above ``MAX_AUTO_CUTOFF`` is a capacity
-    error (:func:`check_fock_cutoff`), raised before anything is allocated.
+    error (:func:`check_fock_cutoff`), raised before anything is allocated;
+    so is a degeneracy error where a minus-sign family's normalization
+    vanishes, as ``|alpha>`` and ``|-alpha>`` are numerically parallel.
     """
     check_fock_cutoff(trunc.cutoff)
     sign, crossed = _FAMILIES[fam.family]
+    if sign < 0:
+        _check_not_parallel(fam.alpha, fam.overlap_x)
     p = coherent_fock_vector(1, fam.alpha, trunc)
     m = coherent_fock_vector(-1, fam.alpha, trunc)
     a, b = (m, p) if crossed else (p, m)

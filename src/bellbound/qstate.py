@@ -2,7 +2,10 @@
 
 States are dense complex amplitude matrices: entry ``(i, j)`` of a
 ``d1 x d2`` matrix is the coefficient of the product basis vector
-``|i> (x) |j>``.  All functions are pure and returned arrays are read-only.
+``|i> (x) |j>``.  All functions are pure.  Every array a validated object
+holds, here and in the other modules, passes through :func:`readonly`, so it
+stays the array that was checked; a fresh result such as :func:`reconstruct`
+is the caller's to write.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ PARALLEL_ATOL = 1e-14  #: 1 - |<u|v>|^2 below which two unit vectors are paralle
 
 # Path tolerances: every threshold that decides how a result is computed.
 CLOSED_FORM_RTOL = 1e-12  #: relative error of a built source operator's closed-form trace norm
-EQUAL_VECTOR_ATOL = 1e-14  #: max entry of |a - b| of basis vectors taken as one (diagonal W block)
 PIVOT_ATOL = 1e-12  #: smallest |entry| of a Schmidt vector that fixes its phase
 ZERO_NORM_ATOL = 1e-12  #: operator norm below which a sampled observable is zero (and made I)
 
@@ -40,10 +42,16 @@ ZERO_NORM_ATOL = 1e-12  #: operator norm below which a sampled observable is zer
 DEFAULT_TRUNCATION_TOL = 1e-12
 
 
-def _frozen_complex(a) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+def readonly(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be made writable.
+
+    The view's base is ``a`` made read-only, or a read-only copy where ``a``
+    does not own its data (whose owner could be made writable again).  Only
+    the view is safe to hand out: an owner can always be made writable again.
+    """
+    base = a if a.flags.owndata else a.copy()
+    base.setflags(write=False)
+    return base.view()
 
 
 #: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.
@@ -196,8 +204,7 @@ class PureState:
                 "state is not normalized: squared Frobenius norm deviates "
                 f"from 1 by {deficit:.3e} (tolerance {NORM_ATOL:.0e})"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", readonly(arr))
 
     @property
     def d1(self) -> int:
@@ -223,8 +230,7 @@ class DensityOperator:
         if m.ndim != 2:  # check_hermitian would take a 3-d array for a stack
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         check_hermitian(m, "density matrix", HERM_ATOL_DENSITY, unit_trace=True, psd=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", readonly(m))
 
     @property
     def dim(self) -> int:
@@ -250,8 +256,8 @@ class SchmidtData:
 
     def __post_init__(self) -> None:
         c = np.array(self.coefficients, dtype=float)
-        left = _frozen_complex(self.left_basis)
-        right = _frozen_complex(self.right_basis)
+        left = np.array(self.left_basis, dtype=complex)
+        right = np.array(self.right_basis, dtype=complex)
         if c.ndim != 1 or len(c) != self.rank or self.rank < 1:
             raise ValidationError("coefficient count must equal the rank (>= 1)")
         if left.shape[0] != self.rank or right.shape[0] != self.rank:
@@ -275,10 +281,8 @@ class SchmidtData:
                 raise ValidationError(
                     f"{name} basis is not orthonormal (max Gram deviation {dev:.3e})"
                 )
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "left_basis", left)
-        object.__setattr__(self, "right_basis", right)
+        for name, value in (("coefficients", c), ("left_basis", left), ("right_basis", right)):
+            object.__setattr__(self, name, readonly(value))
 
 
 def schmidt_decompose(

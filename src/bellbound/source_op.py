@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .qstate import (CLOSED_FORM_RTOL, EQUAL_VECTOR_ATOL, HERM_ATOL_SOURCE,
-                     HERM_ATOL_TRACE_NORM, ZERO_NORM_ATOL, PureState, SchmidtData,
-                     _HERM_BLOCK, _asymmetry, check_hermitian)
+from .qstate import (CLOSED_FORM_RTOL, HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, ZERO_NORM_ATOL,
+                     PureState, SchmidtData, _HERM_BLOCK, _asymmetry, check_hermitian,
+                     readonly)
 
 #: Default cap on the total dimension d1^s1 * d2^s2 of a source operator.
 DEFAULT_MAX_DIM = 4096
@@ -88,17 +88,6 @@ class _Gathered(np.ndarray):
         return arr[()] if return_scalar else arr
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A view of ``a`` that cannot be made writable.
-
-    The view's base is ``a`` made read-only, or a read-only copy where ``a``
-    does not own its data (whose owner could be made writable again).
-    """
-    base = a if a.flags.owndata else a.copy()
-    base.setflags(write=False)
-    return base.view()
-
-
 @dataclass(frozen=True)
 class SourceOperator:
     """Hermitian unit-trace operator on ``H1^(x)s1 (x) H2^(x)s2``.
@@ -147,10 +136,10 @@ class SourceOperator:
         # asymmetry; its trace weighs each class by the indices it holds
         check_hermitian(core, "source operator", HERM_ATOL_SOURCE, unit_trace=True,
                         trace_weights=None if classes is None else np.bincount(classes))
-        core = m = _frozen(core)
+        core = m = readonly(core)
         if classes is not None:
-            classes = _frozen(classes)
-            m = _frozen(core.take(classes, axis=1).take(classes, axis=0))
+            classes = readonly(classes)
+            m = readonly(core.take(classes, axis=1).take(classes, axis=0))
         if built:
             m = m.view(_Gathered)
         for name, value in (("matrix", m), ("core", core), ("classes", classes)):
@@ -169,10 +158,7 @@ def _copy_classes(d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     tuples = np.sort(np.indices((d,) * s).reshape(s, -1).T, axis=1)
     _, first, classes = np.unique(tuples @ d ** np.arange(s), return_index=True,
                                   return_inverse=True)
-    reps = tuples[first]
-    classes.setflags(write=False)
-    reps.setflags(write=False)
-    return classes, reps
+    return readonly(classes), readonly(tuples[first])
 
 
 def _w_terms(a: np.ndarray, b: np.ndarray, s: int, diagonal: bool):
@@ -193,34 +179,6 @@ def _w_terms(a: np.ndarray, b: np.ndarray, s: int, diagonal: bool):
         a, b, weights = a[:, None], b[:, None], np.ones(1)
     kets = np.prod(a[..., reps], axis=-1)
     return kets, kets if polarized or diagonal else np.prod(b[..., reps], axis=-1), weights
-
-
-def build_w_block(e_k: np.ndarray, e_k1: np.ndarray, s: int) -> np.ndarray:
-    """Block carrying ``|e_k><e_k1|`` across ``s`` copies of one factor.
-
-    For ``e_k == e_k1`` this is the s-fold tensor power of the projector onto
-    ``e_k``.  For orthonormal ``e_k != e_k1`` it is
-
-        [P+^(x)s - P-^(x)s + i P+i^(x)s - i P-i^(x)s] / 2^(s+1)
-
-    with unnormalized projectors onto ``e_k ± e_k1`` and ``e_k ± i e_k1``;
-    at ``s = 1`` the combination collapses to ``|e_k><e_k1|`` exactly, and a
-    partial trace over all but any one copy does the same for every ``s``.
-    The block is one product of its term list on the ``C(d+s-1, s)`` classes
-    of :func:`_copy_classes`, gathered to ``d^s x d^s``.
-    """
-    if s < 1:
-        raise ValueError(f"copy count s must be >= 1, got {s}")
-    a = np.asarray(e_k, dtype=complex).reshape(-1)
-    b = np.asarray(e_k1, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"basis vectors differ in length: {a.shape} vs {b.shape}")
-    d = len(a)
-    _guard_dim(d**s, f"w block with d={d}, s={s}")
-    diagonal = bool(np.allclose(a, b, atol=EQUAL_VECTOR_ATOL))
-    kets, bras, weights = _w_terms(a[None], b[None], s, diagonal)
-    classes = _copy_classes(d, s)[0]
-    return ((kets[0].T * weights) @ bras[0].conj()).take(classes, axis=1).take(classes, axis=0)
 
 
 def _closed_form_holds(schmidt: SchmidtData, s1: int, s2: int) -> bool:
@@ -336,9 +294,7 @@ def _closed_form_pattern(r: int, s: int) -> tuple:
     reached[:r] = reached[rows] = reached[cols] = True
     label = np.cumsum(reached) - 1
     out = k, k1, label[rows], label[cols], 2.0 * np.sqrt(b[m] * b[m1])
-    for a in out:
-        a.setflags(write=False)
-    return out + (int(label[-1]) + 1,)
+    return tuple(map(readonly, out)) + (int(label[-1]) + 1,)
 
 
 def _schmidt_trace_norm(c, s: int) -> float:
@@ -446,7 +402,7 @@ def _seeded_pairs(d1: int, d2: int, n_samples: int, seed: int) -> tuple[np.ndarr
     64 x 64 KB.
     """
     (x1, x2), = _unit_hermitian_pairs(np.random.default_rng(seed), d1, d2, n_samples)
-    return _frozen(x1), _frozen(x2)
+    return readonly(x1), readonly(x2)
 
 
 def _two_copy_marginals(T: SourceOperator) -> np.ndarray:

@@ -151,6 +151,22 @@ def reference_schmidt_bases(amplitudes, truncation_tol=1e-12):
     return s[keep], left, right
 
 
+def w_block(e_k, e_k1, s):
+    """The ``d^s x d^s`` block carrying ``|e_k><e_k1|`` across ``s`` copies of one factor.
+
+    The builder's term list (``source_op._w_terms``) multiplied out on the
+    copies' classes and gathered to every index tuple; for ``e_k == e_k1``
+    it is the tensor power of the projector onto ``e_k``.
+    """
+    from bellbound import source_op
+
+    a = np.asarray(e_k, dtype=complex).reshape(1, -1)
+    b = np.asarray(e_k1, dtype=complex).reshape(1, -1)
+    kets, bras, weights = source_op._w_terms(a, b, s, np.array_equal(a, b))
+    classes = source_op._copy_classes(a.shape[1], s)[0]
+    return ((kets[0].T * weights) @ bras[0].conj()).take(classes, axis=1).take(classes, axis=0)
+
+
 def reference_assemblage(site1, site2):
     """Per-element POVM validation, written out without the library's checks.
 

@@ -444,6 +444,14 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "cutoff 10000000" in err
 
+    @pytest.mark.parametrize("family", [3, 4])
+    def test_parallel_coherent_pair_is_validation_exit(self, capsys, tmp_path, family):
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps({"type": "coherent", "family": family, "alpha": 1e-9}))
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "numerically parallel" in err
+
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"type": "weird"}))

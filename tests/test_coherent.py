@@ -111,6 +111,57 @@ class TestAnyPositiveAlpha:
         assert coherent._poisson_tail(1e-300, 16) == 0.0
         assert coherent._poisson_tail(1e155, MAX_AUTO_CUTOFF) == 1.0
 
+    def test_cutoff_far_below_the_mean_sums_no_term(self, monkeypatch):
+        # alpha^2 = 1e12: a cutoff of 3M is 1e6 standard deviations below the mean
+        calls = []
+
+        def counting(x, _real=math.lgamma):
+            calls.append(x)
+            return _real(x)
+
+        monkeypatch.setattr(math, "lgamma", counting)
+        with pytest.raises(CapacityError, match="tail mass 1.000e\\+00"):
+            fock_truncation(1e6, cutoff=3_000_000)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [50.0, 300.0])
+    def test_far_head_shortcut_matches_the_sum(self, alpha):
+        # on both sides of the 40-standard-deviation edge the sum gives 1.0 too
+        lam = alpha * alpha
+        edge = math.ceil(lam - 40.0 * alpha)  # the first cutoff that is summed
+        for cutoff in (edge - 1, edge):
+            head = math.fsum(math.exp(m * math.log(lam) - lam - math.lgamma(m + 1))
+                             for m in range(cutoff + 1))
+            assert coherent._poisson_tail(alpha, cutoff) == max(0.0, 1.0 - head) == 1.0
+
+
+class TestSmallAlpha:
+    """alpha from 1e-12 to 1e-3, where x = exp(-2 alpha^2) rounds towards 1."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(math.log(1e-12), math.log(1e-3)).map(math.exp),
+           family=st.integers(1, 4))
+    @example(alpha=1e-9, family=3)
+    @example(alpha=1e-9, family=4)
+    @example(alpha=1e-7, family=3)
+    def test_finite_amplitudes_or_refusal(self, alpha, family):
+        # a RuntimeWarning is an error under the suite's filterwarnings
+        fam = CoherentFamily(family, alpha)
+        m = two_mode_amplitudes(fam).matrix
+        assert np.all(np.isfinite(m))
+        assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-14)
+        try:
+            state = fock_state(fam, fock_truncation(alpha))
+        except (DegeneracyError, CapacityError):
+            return
+        assert np.all(np.isfinite(state.amplitudes))
+
+    @pytest.mark.parametrize("family", [3, 4])
+    def test_parallel_pair_is_degenerate(self, family):
+        # 1 - x^2 = 4e-18: the minus-sign normalization sqrt(2 (1 - x^2)) vanishes
+        with pytest.raises(DegeneracyError, match="parallel"):
+            fock_state(CoherentFamily(family, 1e-9), fock_truncation(1e-9))
+
 
 class TestCoherentVectors:
     def test_overlap_matches_gaussian_formula(self):

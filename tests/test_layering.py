@@ -1,7 +1,9 @@
-"""The domain modules know no JSON format and no command line.
+"""Rules on where the package keeps a decision, checked on its source.
 
-Reading and writing JSON lives in ``bellbound.serialize`` and the commands
-in ``bellbound.cli``; both import the domain modules, never the reverse.
+The domain modules know no JSON format and no command line.  Reading and
+writing JSON lives in ``bellbound.serialize`` and the commands in
+``bellbound.cli``; both import the domain modules, never the reverse.  And
+only ``qstate.readonly`` sets an array's flags.
 """
 
 import ast
@@ -41,3 +43,34 @@ def test_every_import_form_is_seen():
                    "from bellbound import serialize", "def f():\n    from .cli import main"):
         assert _io_imports(source), source
     assert _io_imports("from .qstate import cli_name\nimport numpy") == set()
+
+
+def _setflags_calls(source: str) -> list:
+    """The enclosing function of every ``setflags`` call in a module's source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "setflags"):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_readonly_sets_flags():
+    calls = {module.stem: _setflags_calls(module.read_text(encoding="utf-8"))
+             for module in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in calls.items() if found} == {"qstate": ["readonly"]}
+
+
+def test_every_setflags_form_is_seen():
+    source = ("a.setflags(write=False)\n"
+              "class C:\n    def f(self):\n        np.ndarray.setflags(self.m, False)\n"
+              "def g():\n    def h():\n        x = [m.setflags(write=0) for m in ms]\n")
+    assert _setflags_calls(source) == ["", "C.f", "g.h"]

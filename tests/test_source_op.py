@@ -13,24 +13,31 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellbound import (
+    Assemblage,
     CapacityError,
+    CoherentFamily,
+    DensityOperator,
     PureState,
     ValidationError,
     build_source_1xs,
     build_source_sx1,
-    build_w_block,
+    chsh_functional,
+    coherent_fock_vector,
+    fock_truncation,
+    gram_schmidt_basis,
     max_tensor_dim,
     schmidt_decompose,
     schmidt_sum_squared,
     source_operator_from_json,
     source_operator_to_json,
     trace_norm,
+    two_mode_amplitudes,
     verify_dilation,
 )
 from bellbound import qstate, source_op
 from bellbound.qstate import _HERM_BLOCK
 from bellbound.source_op import DEFAULT_MAX_DIM, SourceOperator
-from helpers import count_lapack, random_pure_state, reference_dilation_residual
+from helpers import count_lapack, random_pure_state, reference_dilation_residual, w_block
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
 
@@ -177,7 +184,7 @@ class TestWBlock:
     def test_single_copy_is_transfer_operator(self):
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
-        assert_allclose(build_w_block(e0, e1, 1), np.outer(e0, e1.conj()), atol=1e-14)
+        assert_allclose(w_block(e0, e1, 1), np.outer(e0, e1.conj()), atol=1e-14)
 
     def test_matches_projector_combination(self):
         rng = np.random.default_rng(3)
@@ -185,21 +192,21 @@ class TestWBlock:
         u, v = np.linalg.qr(raw.conj().T)[0].conj().T
         for s in (1, 2, 3, 4, 5):
             assert_allclose(
-                build_w_block(u, v, s), _four_projector_block(u, v, s), atol=1e-13
+                w_block(u, v, s), _four_projector_block(u, v, s), atol=1e-13
             )
         # the projector combination collapses to a plain transfer operator at s=1
-        assert_allclose(build_w_block(u, v, 1), np.outer(u, v.conj()), atol=1e-13)
+        assert_allclose(w_block(u, v, 1), np.outer(u, v.conj()), atol=1e-13)
 
     def test_identical_vectors_give_projector_power(self):
         e = np.array([0.6, 0.8j], dtype=complex)
         proj = np.outer(e, e.conj())
-        assert_allclose(build_w_block(e, e, 2), np.kron(proj, proj), atol=1e-14)
+        assert_allclose(w_block(e, e, 2), np.kron(proj, proj), atol=1e-14)
 
     def test_adjoint_pairs(self):
         e0 = np.array([1, 0, 0], dtype=complex)
         e1 = np.array([0, 0, 1], dtype=complex)
-        w = build_w_block(e0, e1, 2)
-        assert_allclose(w.conj().T, build_w_block(e1, e0, 2), atol=1e-14)
+        w = w_block(e0, e1, 2)
+        assert_allclose(w.conj().T, w_block(e1, e0, 2), atol=1e-14)
 
 
 class TestCopyClasses:
@@ -850,6 +857,44 @@ class TestGatheredTag:
         assert trace_norm(op.matrix.copy()) == copied
 
 
+def _ragged_assemblage():
+    # site 1 does not stack (2 and 3 elements), so its elements are checked one by one
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return Assemblage(((p0, p1), (p0, p1, np.zeros((2, 2)))), ((p0, p1),))
+
+
+#: Every array a validated object or a cache of the package holds, by name.
+_HELD_ARRAYS = {
+    "PureState.amplitudes": lambda: BELL.amplitudes,
+    "PureState.vector": lambda: BELL.vector(),
+    "DensityOperator.matrix": lambda: DensityOperator(np.eye(2) / 2).matrix,
+    "SchmidtData.coefficients": lambda: schmidt_decompose(BELL).coefficients,
+    "SchmidtData.left_basis": lambda: schmidt_decompose(BELL).left_basis,
+    "SchmidtData.right_basis": lambda: schmidt_decompose(BELL).right_basis,
+    "BellFunctional.phi": lambda: chsh_functional().phi,
+    "Assemblage.checked_element": lambda: _ragged_assemblage().site1[1][2],
+    "Assemblage.stacked_element": lambda: _ragged_assemblage().site2[0][1],
+    "TwoModeAmplitudes.matrix": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)).matrix,
+    "coherent_fock_vector": lambda: coherent_fock_vector(-1, 0.5, fock_truncation(0.5)),
+    "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[0],
+    "gram_schmidt_basis.u2": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[1],
+    "SourceOperator.caller_matrix": lambda: SourceOperator(
+        s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4).matrix,
+    "SourceOperator.caller_core": lambda: SourceOperator(
+        s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4).core,
+    "SourceOperator.built_matrix": lambda: build_source_1xs(schmidt_decompose(BELL), 2).matrix,
+    "SourceOperator.built_core": lambda: build_source_1xs(schmidt_decompose(BELL), 2).core,
+    "SourceOperator.built_classes": lambda: build_source_1xs(schmidt_decompose(BELL), 2).classes,
+    "SourceOperator.single_matrix": lambda: build_source_1xs(schmidt_decompose(BELL), 1).matrix,
+    "_copy_classes.classes": lambda: source_op._copy_classes(3, 2)[0],
+    "_copy_classes.reps": lambda: source_op._copy_classes(3, 2)[1],
+    **{f"_closed_form_pattern.{i}": lambda i=i: source_op._closed_form_pattern(3, 2)[i]
+       for i in range(5)},
+    "_seeded_pairs.x1": lambda: source_op._seeded_pairs(2, 3, 4, 0)[0],
+    "_seeded_pairs.x2": lambda: source_op._seeded_pairs(2, 3, 4, 0)[1],
+}
+
+
 class TestSourceOperatorValidation:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError, match="trace"):
@@ -875,16 +920,12 @@ class TestSourceOperatorValidation:
         m[0, 0] = 7.0
         assert op.matrix[0, 0] == 0.25
 
-    def test_arrays_cannot_be_made_writable(self):
-        # a written gathered matrix would no longer be its core's gather, and
-        # verify_dilation reads it as copy-symmetric
-        caller = SourceOperator(s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4)
-        built = build_source_1xs(schmidt_decompose(BELL), 2)
-        single = build_source_1xs(schmidt_decompose(BELL), 1)
-        for a in (caller.matrix, caller.core, built.matrix, built.core, built.classes,
-                  single.matrix):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                a.setflags(write=True)
+    @pytest.mark.parametrize("name", sorted(_HELD_ARRAYS))
+    def test_arrays_cannot_be_made_writable(self, name):
+        # a written array would no longer be the one that was checked: a
+        # gathered matrix its core's gather, coefficients their bound's input
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            _HELD_ARRAYS[name]().setflags(write=True)
 
     def test_builder_hands_over_its_matrix(self):
         # one operator is 26.9 MB at d = 6, s = 3; a second copy would double the peak
