@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .qstate import (_HERM_GROUP, CERTIFY_ATOL, HERM_ATOL_POVM, LHV_ZERO_ATOL, POVM_SUM_ATOL,
-                     VALUE_SLACK, PureState, check_hermitian, readonly, schmidt_decompose)
+                     VALUE_SLACK, PureState, check_hermitian, count, readonly, schmidt_decompose)
 
 #: Maximum work of exact enumeration: strategies enumerated times the
 #: table entries each one sums (see :func:`lhv_extrema`).
@@ -96,12 +96,13 @@ def chsh_functional() -> BellFunctional:
     return BellFunctional(OutcomeSet(labels), OutcomeSet(labels), phi)
 
 
-def _checked_site(povms, site_no: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _checked_site(povms, site_no: int) -> tuple[np.ndarray, ...]:
     """A site validated element by element; raises the first failure by name.
 
     Each setting needs at least 2 elements; each element must be square,
     non-empty, pass :func:`~bellbound.qstate.check_hermitian` and have the
-    site's dimension; then each setting must sum to the identity.
+    site's dimension; then each setting must sum to the identity, and its
+    elements are stacked once, to one read-only ``(m, d, d)`` array.
     """
     dim = None
     site_out = []
@@ -122,17 +123,17 @@ def _checked_site(povms, site_no: int) -> tuple[tuple[np.ndarray, ...], ...]:
             dim = m.shape[0] if dim is None else dim
             if m.shape[0] != dim:
                 raise ValidationError(f"{what}: dimension {m.shape[0]} differs from {dim}")
-            elements.append(readonly(m))
+            elements.append(m)
         dev = float(np.max(np.abs(sum(elements) - np.eye(dim))))
         if dev > POVM_SUM_ATOL:
             raise ValidationError(
                 f"{where}: POVM elements do not sum to identity (max deviation {dev:.3e})"
             )
-        site_out.append(tuple(elements))
+        site_out.append(readonly(np.stack(elements)))
     return tuple(site_out)
 
 
-def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
+def _stacked_site(povms) -> tuple[np.ndarray, ...] | None:
     """A site whose settings stack to one ``(s, m, d, d)`` array, validated at once.
 
     The site is copied once.  For each group of consecutive settings of at
@@ -140,9 +141,10 @@ def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
     m - 1 additions over the group check its settings' sums, adding in the
     order of ``sum(elements)``, and one
     :func:`~bellbound.qstate.check_hermitian` call certifies its elements.
-    Returns the settings as read-only views of the copy, or None when the
-    settings do not stack, a setting has fewer than 2 elements, or any check
-    fails: :func:`_checked_site` then decides and names the failure.
+    Returns the settings as read-only ``(m, d, d)`` views of the copy, or
+    None when the settings do not stack, a setting has fewer than 2
+    elements, or any check fails: :func:`_checked_site` then decides and
+    names the failure.
     """
     try:
         stack = np.array(povms, dtype=complex)
@@ -168,41 +170,42 @@ def _stacked_site(povms) -> tuple[tuple[np.ndarray, ...], ...] | None:
             check_hermitian(group.reshape(-1, dim, dim), "site", HERM_ATOL_POVM, psd=True)
         except ValidationError:
             return None
-    return tuple(tuple(povm) for povm in readonly(stack))
+    return tuple(readonly(stack))
 
 
 @dataclass(frozen=True)
 class Assemblage:
     """Per-site, per-setting POVMs compatible with a (d1, d2) state.
 
-    A site whose settings stack to one ``(s, m, d, d)`` array is validated by
-    one :func:`~bellbound.qstate.check_hermitian` call per group of settings
-    (:func:`_stacked_site`), and its elements are read-only views of one
+    A site is given as settings of ``(d, d)`` elements, as nested sequences
+    or arrays, and held as a tuple of settings, each one read-only
+    ``(m, d, d)`` array, so ``site1[s][a]`` is element ``a`` of setting ``s``.
+    A site whose settings stack to one ``(s, m, d, d)`` array is validated
+    by one :func:`~bellbound.qstate.check_hermitian` call per group of
+    settings (:func:`_stacked_site`), and its settings are views of one
     copy.  Any other site, and any site that fails there, is validated
     element by element (:func:`_checked_site`), and that loop alone names a
     failure.
     """
 
-    site1: tuple[tuple[np.ndarray, ...], ...]
-    site2: tuple[tuple[np.ndarray, ...], ...]
+    site1: tuple[np.ndarray, ...]
+    site2: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        frozen = []
-        for site_no, povms in ((1, self.site1), (2, self.site2)):
+        for site_no in (1, 2):
+            povms = getattr(self, f"site{site_no}")
             if len(povms) < 1:
                 raise ValidationError(f"site {site_no} needs at least one POVM")
-            site = _stacked_site(povms)
-            frozen.append(_checked_site(povms, site_no) if site is None else site)
-        object.__setattr__(self, "site1", frozen[0])
-        object.__setattr__(self, "site2", frozen[1])
+            object.__setattr__(self, f"site{site_no}",
+                               _stacked_site(povms) or _checked_site(povms, site_no))
 
     @property
     def dim1(self) -> int:
-        return self.site1[0][0].shape[0]
+        return self.site1[0].shape[-1]
 
     @property
     def dim2(self) -> int:
-        return self.site2[0][0].shape[0]
+        return self.site2[0].shape[-1]
 
 
 @dataclass(frozen=True)
@@ -365,24 +368,19 @@ def _check_compatible(
         raise ValueError(f"setting s2={s2} out of range for {len(asm.site2)} settings")
 
 
-def _rows(elements) -> np.ndarray:
-    """POVM elements, or whole POVMs of one site, as rows of shape (n, d*d)."""
-    stack = np.array(elements)
-    return stack.reshape(-1, stack.shape[-1] ** 2)
+def _born_table(amp: np.ndarray, site1, site2) -> np.ndarray:
+    """Born values <psi| E (x) F |psi>, one row per element E of ``site1``, one column per F.
 
-
-def _born_table(
-    amp: np.ndarray, povm1: tuple[np.ndarray, ...], rows2: np.ndarray
-) -> np.ndarray:
-    """Born values <psi| E1_a (x) F_k |psi> of one site-1 POVM, shape (m1, n).
-
-    ``rows2`` holds site-2 elements F_k as rows (see :func:`_rows`).  With
-    psi the row-major vectorisation of the amplitude matrix A,
-    <psi| E1 (x) F |psi> = sum_jl (A^H E1 A)_jl F_jl, so one batched
-    sandwich per site-1 element and one product with the rows give the table.
+    Both sites are sequences of ``(m, d, d)`` settings.  With psi the
+    row-major vectorisation of the amplitude matrix A,
+    <psi| E (x) F |psi> = sum_jl (A^H E A)_jl F_jl: one batched sandwich per
+    site-1 setting gives its rows A^H E A, and one product per site-2
+    setting, read in place as ``(m, d*d)`` rows, pairs them with its
+    elements.
     """
-    sandwiches = amp.conj().T @ np.stack(povm1) @ amp
-    return (sandwiches.reshape(len(povm1), -1) @ rows2.T).real
+    ah = amp.conj().T
+    rows = np.concatenate([(ah @ povm @ amp).reshape(len(povm), -1) for povm in site1])
+    return np.concatenate([rows @ povm.reshape(len(povm), -1).T for povm in site2], axis=1).real
 
 
 def quantum_probabilities(
@@ -390,42 +388,30 @@ def quantum_probabilities(
 ) -> np.ndarray:
     """Born-rule outcome table for one setting pair, shape (m1, m2)."""
     _check_compatible(state, asm, s1, s2)
-    return _born_table(state.amplitudes, asm.site1[s1], _rows(asm.site2[s2]))
+    return _born_table(state.amplitudes, asm.site1[s1:s1 + 1], asm.site2[s2:s2 + 1])
 
 
 def bell_value(f: BellFunctional, state: PureState, asm: Assemblage) -> float:
     """Quantum value sum_{s,t,a,b} phi[s,t,a,b] * p(a,b | s,t).
 
     Costs O(s1*m1*d^3 + s1*s2*m1*m2*d^2): one sandwich per site-1 element and
-    one product per site-1 setting with every site-2 element (see
-    :func:`_born_table`).
+    one product per site-2 setting with every sandwich, each setting read in
+    place (see :func:`_born_table`).
     """
     if len(asm.site1) != f.s1 or len(asm.site2) != f.s2:
         raise ValueError(
             f"assemblage setting counts ({len(asm.site1)}, {len(asm.site2)}) do not "
             f"match functional ({f.s1}, {f.s2})"
         )
-    for s, povm in enumerate(asm.site1):
-        if len(povm) != f.outcomes1.size:
-            raise ValueError(
-                f"site 1 setting {s} has {len(povm)} outcomes, functional expects "
-                f"{f.outcomes1.size}"
-            )
-    for t, povm in enumerate(asm.site2):
-        if len(povm) != f.outcomes2.size:
-            raise ValueError(
-                f"site 2 setting {t} has {len(povm)} outcomes, functional expects "
-                f"{f.outcomes2.size}"
-            )
+    for site_no, site, out in ((1, asm.site1, f.outcomes1), (2, asm.site2, f.outcomes2)):
+        for s, povm in enumerate(site):
+            if len(povm) != out.size:
+                raise ValueError(f"site {site_no} setting {s} has {len(povm)} outcomes, "
+                                 f"functional expects {out.size}")
     _check_compatible(state, asm)
-    rows2 = _rows(asm.site2)
-    shape = (f.outcomes1.size, f.s2, f.outcomes2.size)
-    total = 0.0
-    # one site-1 setting at a time: stacking all of site 1 raises peak memory
-    for s, povm1 in enumerate(asm.site1):
-        table = _born_table(state.amplitudes, povm1, rows2).reshape(shape)
-        total += float(np.einsum("tab,atb->", f.phi[s], table))
-    return total
+    table = _born_table(state.amplitudes, asm.site1, asm.site2)
+    shape = (f.s1, f.outcomes1.size, f.s2, f.outcomes2.size)
+    return float(np.einsum("stab,satb->", f.phi, table.reshape(shape)))
 
 
 def _sign_observables(h: np.ndarray) -> np.ndarray:
@@ -490,8 +476,8 @@ def seesaw_maximize(
             raise UnsupportedFunctionalError(
                 f"see-saw requires ±1 outcomes; {name} has labels {out.labels}"
             )
-    if restarts < 1 or max_iters < 1:
-        raise ValueError("restarts and max_iters must be >= 1")
+    restarts = count("restarts", restarts)
+    max_iters = count("max_iters", max_iters)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     amp = state.amplitudes
@@ -533,15 +519,9 @@ def seesaw_maximize(
             best_ops = (ops1, ops2)
 
     ops1, ops2 = best_ops
-    eye1 = np.eye(d1, dtype=complex)
-    eye2 = np.eye(d2, dtype=complex)
     asm = Assemblage(
-        site1=tuple(
-            tuple((eye1 + lab * o) / 2.0 for lab in l1) for o in ops1
-        ),
-        site2=tuple(
-            tuple((eye2 + lab * o) / 2.0 for lab in l2) for o in ops2
-        ),
+        site1=(np.eye(d1, dtype=complex) + l1[:, None, None] * ops1[:, None]) / 2.0,
+        site2=(np.eye(d2, dtype=complex) + l2[:, None, None] * ops2[:, None]) / 2.0,
     )
     return bell_value(f, state, asm), asm
 

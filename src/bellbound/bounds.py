@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qstate import SchmidtData, schmidt_sum_squared
+from .qstate import SchmidtData, count, schmidt_sum_squared
 
 #: First-class marker for an infinite Hilbert-space dimension.
 INFINITE = math.inf
@@ -27,16 +27,10 @@ def _check_extent(name: str, value) -> float:
     return float(value)
 
 
-def _check_settings(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def schmidt_settings_bound(schmidt: SchmidtData, s1: int, s2: int) -> float:
     """2 * min{(sum_k sqrt(lambda_k))^2, s1, s2} - 1."""
-    s1 = _check_settings("s1", s1)
-    s2 = _check_settings("s2", s2)
+    s1 = count("s1", s1)
+    s2 = count("s2", s2)
     return 2.0 * min(schmidt_sum_squared(schmidt), float(s1), float(s2)) - 1.0
 
 
@@ -71,10 +65,8 @@ def projective_bound(d: int, s: int) -> float:
     min{sqrt(d), 3} when s = 2, and min{sqrt(d^s), 2 min{d, s} - 1} when
     s >= 3.  A single setting admits no violation, so s = 1 is rejected.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"s must be a positive integer, got {s!r}")
+    d = count("d", d, least=2)
+    s = count("s", s)
     if s == 1:
         raise ValueError("s = 1 admits no Bell violation; bound requires s >= 2")
     if s == 2:
@@ -131,8 +123,8 @@ def bound_report(
     """
     d1 = _check_extent("d1", d1)
     d2 = _check_extent("d2", d2)
-    s1 = _check_settings("s1", s1)
-    s2 = _check_settings("s2", s2)
+    s1 = count("s1", s1)
+    s2 = count("s2", s2)
     b_schmidt = schmidt_settings_bound(schmidt, s1, s2)
     b_sum = schmidt_sum_bound(schmidt)
     b_dim = dimension_settings_bound(d1, d2, s1, s2)

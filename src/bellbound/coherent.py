@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegeneracyError
-from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState, readonly
+from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState, count, positive_real, readonly
 
 #: Default bound on the coherent-state mass left above an automatic cutoff.
 DEFAULT_TAIL_TOL = 1e-14
@@ -53,13 +53,11 @@ class CoherentFamily:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.family not in (1, 2, 3, 4):
+        family = count("family", self.family)
+        if family not in _FAMILIES:
             raise ValueError(f"family must be 1, 2, 3 or 4, got {self.family!r}")
-        if not (isinstance(self.alpha, (int, float)) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be a positive real, got {self.alpha!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "alpha", positive_real("alpha", self.alpha))
 
     @property
     def overlap_x(self) -> float:
@@ -76,8 +74,7 @@ class FockTruncation:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cutoff, int) or self.cutoff < 1:
-            raise ValueError(f"cutoff must be a positive integer, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", count("cutoff", self.cutoff))
         if self.tail_bound > self.tail_tol:
             raise CapacityError(
                 f"cutoff {self.cutoff} leaves tail mass {self.tail_bound:.3e}, "
@@ -129,8 +126,7 @@ def fock_truncation(
     tolerance, and raises a capacity error when that is above 1024; an
     explicit integer cutoff that misses the tolerance raises one too.
     """
-    if not (isinstance(alpha, (int, float)) and alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+    alpha = positive_real("alpha", alpha)
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if cutoff == "auto":
@@ -148,8 +144,7 @@ def fock_truncation(
             else:
                 lo = mid + 1
         return FockTruncation(cutoff=lo, tail_bound=_poisson_tail(alpha, lo), tail_tol=tail_tol)
-    if not isinstance(cutoff, int) or isinstance(cutoff, bool):
-        raise ValueError(f'cutoff must be a positive integer or "auto", got {cutoff!r}')
+    cutoff = count("cutoff", cutoff)
     return FockTruncation(
         cutoff=cutoff, tail_bound=_poisson_tail(alpha, cutoff), tail_tol=tail_tol
     )
@@ -164,8 +159,7 @@ def coherent_fock_vector(sign: int, alpha: float, trunc: FockTruncation) -> np.n
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if not (isinstance(alpha, (int, float)) and alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+    alpha = positive_real("alpha", alpha)
     n = trunc.cutoff
     vec = np.empty(n + 1, dtype=float)
     amp = math.exp(-(alpha * alpha) / 2.0)
@@ -284,10 +278,12 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     ``(m, p)`` for a crossed family and ``(p, m)`` otherwise, over the
     closed-form normalization ``sqrt(2 (1 + sign x^2))``; then renormalized
     exactly.  The residual must stay below ``FOCK_NORM_ATOL`` or the cutoff
-    is deemed insufficient.  A cutoff above ``MAX_AUTO_CUTOFF`` is a capacity
-    error (:func:`check_fock_cutoff`), raised before anything is allocated;
-    so is a degeneracy error where a minus-sign family's normalization
-    vanishes, as ``|alpha>`` and ``|-alpha>`` are numerically parallel.
+    is deemed insufficient; a minus-sign family's is measured against
+    ``sqrt(-2 expm1(-4 alpha^2))``, as ``1 - x^2`` cancels at small alpha.  A
+    cutoff above ``MAX_AUTO_CUTOFF`` is a capacity error
+    (:func:`check_fock_cutoff`), raised before anything is allocated; so is a
+    degeneracy error where a minus-sign family's normalization vanishes, as
+    ``|alpha>`` and ``|-alpha>`` are numerically parallel.
     """
     check_fock_cutoff(trunc.cutoff)
     sign, crossed = _FAMILIES[fam.family]
@@ -298,7 +294,8 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     a, b = (m, p) if crossed else (p, m)
     denom = math.sqrt(2.0 * (1.0 + sign * fam.overlap_x ** 2))
     amp = (np.outer(p, a) + sign * np.outer(m, b)) / denom
-    residual = abs(float(np.linalg.norm(amp)) - 1.0)
+    exact = denom if sign > 0 else math.sqrt(-2.0 * math.expm1(-4.0 * fam.alpha * fam.alpha))
+    residual = abs(float(np.linalg.norm(amp)) * (denom / exact) - 1.0)
     if residual > FOCK_NORM_ATOL:
         raise CapacityError(
             f"cutoff {trunc.cutoff} distorts the family normalization by "
@@ -327,8 +324,7 @@ def bound_curve(
     fam_family: int, alpha_min: float, alpha_max: float, steps: int
 ) -> list[tuple[float, float]]:
     """Violation-bound samples (alpha, bound) on a uniform alpha grid."""
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps!r}")
+    steps = count("steps", steps, least=2)
     if steps > MAX_CURVE_STEPS:
         raise CapacityError(
             f"curve of {steps} steps exceeds the cap of {MAX_CURVE_STEPS} steps"

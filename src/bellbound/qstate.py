@@ -10,6 +10,8 @@ is the caller's to write.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,21 @@ def readonly(a: np.ndarray) -> np.ndarray:
     base = a if a.flags.owndata else a.copy()
     base.setflags(write=False)
     return base.view()
+
+
+def count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int >= ``least``: any ``numbers.Integral`` but a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def positive_real(name: str, value) -> float:
+    """``value`` as a positive finite float: any ``numbers.Real`` but a bool, else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
 
 
 #: Rows per block in :func:`_asymmetry`; bounds its temporaries to a few MB.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .qstate import (CLOSED_FORM_RTOL, HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, ZERO_NORM_ATOL,
-                     PureState, SchmidtData, _HERM_BLOCK, _asymmetry, check_hermitian,
+                     PureState, SchmidtData, _HERM_BLOCK, _asymmetry, check_hermitian, count,
                      readonly)
 
 #: Default cap on the total dimension d1^s1 * d2^s2 of a source operator.
@@ -47,23 +47,21 @@ def max_tensor_dim() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ValueError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{MAX_DIM_ENV} must be positive, got {value}")
-    return value
+    return count(MAX_DIM_ENV, value)
 
 
-def _guard_dim(total: int, what: str) -> None:
-    cap = max_tensor_dim()
-    if total > cap:
-        raise CapacityError(
-            f"{what} needs total dimension {total}, above the size guard {cap} "
-            f"(override via {MAX_DIM_ENV})"
-        )
+def _tensor_dim(d1: int, s1: int, d2: int, s2: int, cap: int) -> int | None:
+    """``d1^s1 * d2^s2``, or None where it exceeds ``cap``.
 
-
-class _Core(NamedTuple):  # a builder's operator: matrix[a, b] = core[classes[a], classes[b]]
-    core: np.ndarray
-    classes: np.ndarray | None  # None for the identity map
+    Sizes from JSON or the command line are unbounded, so the lower bound
+    ``2^(s (bit_length(d) - 1)) <= d^s`` decides first: only a power of fewer
+    than twice ``cap``'s bits is formed.
+    """
+    low_bits = s1 * (d1.bit_length() - 1) + s2 * (d2.bit_length() - 1)
+    if low_bits >= cap.bit_length():
+        return None
+    n = d1**s1 * d2**s2
+    return n if n <= cap else None
 
 
 class _Schmidt(NamedTuple):  # what the closed-form trace norm of a built matrix needs
@@ -71,17 +69,28 @@ class _Schmidt(NamedTuple):  # what the closed-form trace norm of a built matrix
     s: int
 
 
+class _Core(NamedTuple):  # an operator: matrix[a, b] = core[classes[a], classes[b]]
+    core: np.ndarray
+    classes: np.ndarray | None = None  # None for the identity map
+    schmidt: _Schmidt | None = None  # a built matrix's tag, where the closed form holds
+
+
 class _Gathered(np.ndarray):
     """A built operator's matrix, tagged with the :class:`_Schmidt` data it was built from.
 
-    Only the array :func:`_build_source` tags carries ``schmidt``: NumPy
-    copies no instance attribute to a view, copy or unpickled array made
-    from it, which reads the class default None, and ufunc and ``@`` results
-    are plain arrays.  It is a view of a read-only base, so it cannot be
-    made writable, and it stays the operator ``schmidt`` describes.
+    Only the array :class:`SourceOperator` tags from its :class:`_Core`
+    carries ``schmidt``, a read-only property: NumPy copies no instance
+    attribute to a view, copy or unpickled array made from it, which reads
+    None, and ufunc and ``@`` results are plain arrays.  It is a view of a
+    read-only base, so it cannot be made writable, and it stays the
+    operator ``schmidt`` describes.
     """
 
-    schmidt: _Schmidt | None = None
+    _tag: _Schmidt | None = None
+
+    @property
+    def schmidt(self) -> _Schmidt | None:
+        return self._tag
 
     def __array_wrap__(self, arr, context=None, return_scalar=False):
         arr = arr.view(np.ndarray)
@@ -116,22 +125,15 @@ class SourceOperator:
     classes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if min(self.s1, self.s2, self.d1, self.d2) < 1:
-            raise ValueError("setting counts and dimensions must be >= 1")
+        for name in ("s1", "s2", "d1", "d2"):
+            object.__setattr__(self, name, count(name, getattr(self, name)))
         built = isinstance(self.matrix, _Core)
-        core, classes = self.matrix if built else (np.array(self.matrix, dtype=complex), None)
+        core, classes, tag = self.matrix if built else _Core(np.array(self.matrix, dtype=complex))
         if classes is None:
-            # sizes from JSON are unbounded: compare base-2 logarithms (lower
-            # bounds by bit length) before forming a power that may take seconds
-            low_bits = sum(int(s) * (int(d).bit_length() - 1) for s, d in
-                           ((self.s1, self.d1), (self.s2, self.d2)))
-            if low_bits >= core.size.bit_length():
-                raise ValidationError(
-                    f"matrix shape {core.shape} does not match d1^s1*d2^s2 > {core.size}")
-            expected = self.d1**self.s1 * self.d2**self.s2
-            if core.shape != (expected, expected):
-                raise ValidationError(
-                    f"matrix shape {core.shape} does not match d1^s1*d2^s2 = {expected}")
+            n = _tensor_dim(self.d1, self.s1, self.d2, self.s2, core.size)
+            if n is None or core.shape != (n, n):
+                raise ValidationError(f"matrix shape {core.shape} does not match d1^s1*d2^s2 "
+                                      + (f"> {core.size}" if n is None else f"= {n}"))
         # the class map is onto, so the core has the gathered matrix's
         # asymmetry; its trace weighs each class by the indices it holds
         check_hermitian(core, "source operator", HERM_ATOL_SOURCE, unit_trace=True,
@@ -142,6 +144,7 @@ class SourceOperator:
             m = readonly(core.take(classes, axis=1).take(classes, axis=0))
         if built:
             m = m.view(_Gathered)
+            m._tag = tag
         for name, value in (("matrix", m), ("core", core), ("classes", classes)):
             object.__setattr__(self, name, value)
 
@@ -228,8 +231,11 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
     # Exactly one of s1, s2 is allowed to exceed 1 in the public builders.
     c, left, right = schmidt.coefficients, schmidt.left_basis, schmidt.right_basis
     d1, d2 = left.shape[1], right.shape[1]
-    n = d1**s1 * d2**s2
-    _guard_dim(n, f"source operator with d1={d1}, s1={s1}, d2={d2}, s2={s2}")
+    cap = max_tensor_dim()
+    n = _tensor_dim(d1, s1, d2, s2, cap)
+    if n is None:
+        raise CapacityError(f"source operator of total dimension {d1}^{s1} * {d2}^{s2} is "
+                            f"above the size guard {cap} (override via {MAX_DIM_ENV})")
     (classes1, reps1), (classes2, reps2) = _copy_classes(d1, s1), _copy_classes(d2, s2)
     size = len(reps1) * len(reps2)
     diag, (k, k1) = np.arange(schmidt.rank), np.triu_indices(schmidt.rank, 1)
@@ -251,10 +257,8 @@ def _build_source(schmidt: SchmidtData, s1: int, s2: int) -> SourceOperator:
         block[...] = (block + block.conj().T) / 2.0
         core[after, rows] = core[rows, after].conj().T
     classes = None if size == n else (classes1[:, None] * len(reps2) + classes2).reshape(-1)
-    op = SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes))
-    if _closed_form_holds(schmidt, s1, s2):
-        op.matrix.schmidt = _Schmidt(tuple(c.tolist()), max(s1, s2))
-    return op
+    tag = _Schmidt(tuple(c.tolist()), max(s1, s2)) if _closed_form_holds(schmidt, s1, s2) else None
+    return SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=_Core(core, classes, tag))
 
 
 def build_source_1xs(schmidt: SchmidtData, s2: int) -> SourceOperator:
@@ -262,16 +266,12 @@ def build_source_1xs(schmidt: SchmidtData, s2: int) -> SourceOperator:
 
     With ``s2 = 1`` this is exactly the state's density operator.
     """
-    if s2 < 1:
-        raise ValueError(f"s2 must be >= 1, got {s2}")
-    return _build_source(schmidt, 1, s2)
+    return _build_source(schmidt, 1, count("s2", s2))
 
 
 def build_source_sx1(schmidt: SchmidtData, s1: int) -> SourceOperator:
     """Source operator on ``H1^(x)s1 (x) H2`` (single copy on site 2)."""
-    if s1 < 1:
-        raise ValueError(f"s1 must be >= 1, got {s1}")
-    return _build_source(schmidt, s1, 1)
+    return _build_source(schmidt, count("s1", s1), 1)
 
 
 @lru_cache(maxsize=64)
@@ -446,8 +446,7 @@ def verify_dilation(
     (:func:`_seeded_pairs`); any other seed (a ``Generator``, a
     ``SeedSequence``, a list) or a larger request streams chunk by chunk.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = count("n_samples", n_samples)
     if (T.d1, T.d2) != (state.d1, state.d2):
         raise ValueError(
             f"dimension mismatch: source operator has (d1, d2) = ({T.d1}, {T.d2}), "

@@ -423,6 +423,22 @@ class TestAssemblageValidation:
                 assert all(e.base is site[0][0].base for e in povm)
                 assert not povm[0].base.flags.writeable
 
+    def test_every_setting_is_one_stack(self):
+        # site 1 is ragged (checked tier), site 2 stacks, and the see-saw
+        # hands its (s, m, d, d) sites to the stacked tier
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        asm = Assemblage(((p0, p1), (p0, p1, np.zeros((2, 2)))), [np.array([p0, p1])])
+        _, found = seesaw_maximize(chsh_functional(), BELL, restarts=1)
+        for site, outcomes in ((asm.site1, (2, 3)), (asm.site2, (2,)),
+                               (found.site1, (2, 2)), (found.site2, (2, 2))):
+            assert type(site) is tuple
+            assert [(type(povm), povm.shape) for povm in site] == [
+                (np.ndarray, (m, 2, 2)) for m in outcomes]
+            assert not any(povm.flags.writeable for povm in site)
+        assert np.array_equal(asm.site1[1][1], p1) and len(asm.site1[1]) == 3
+        for site in (found.site1, found.site2):
+            assert site[0].base is site[1].base
+
     def test_uncertified_setting_falls_back(self, monkeypatch):
         # site 1 is ragged, so each element is checked alone; lambda_min =
         # -0.9 PSD_ATOL: the shifted Cholesky of that element fails, eigvalsh

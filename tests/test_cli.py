@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -160,6 +161,18 @@ class TestSourceOpCommand:
         code, _, err = run(capsys, ["source-op", "--input", bell_file, "--s2", "12"])
         assert code == 3
         assert "size guard" in err
+
+    @pytest.mark.parametrize("s2", ["2000", "100000", "10000000"])
+    def test_size_guard_forms_no_power(self, capsys, tmp_path, s2):
+        # 3^s2 has up to 4.8 million digits: the guard decides by bit lengths
+        path = tmp_path / "rank3.json"
+        path.write_text(json.dumps({"type": "schmidt", "coefficients": [0.8, 0.48, 0.36]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["source-op", "--input", str(path), "--s2", s2])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "size guard" in err and f"3^{s2}" in err
+        assert max(len(digits) for digits in re.findall(r"\d+", err)) <= 20
 
 
 class TestCoherentCommands:
@@ -451,6 +464,15 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "numerically parallel" in err
+
+    @pytest.mark.parametrize("family", [3, 4])
+    def test_small_alpha_minus_family_is_a_state(self, capsys, tmp_path, family):
+        # 1 - x^2 = 4e-12 keeps only 4 digits, so the cutoff is judged by -expm1(-4 alpha^2)
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps({"type": "coherent", "family": family, "alpha": 1e-6}))
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["coefficients"] == pytest.approx([INV_ROOT2, INV_ROOT2], abs=1e-12)
 
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"

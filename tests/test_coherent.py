@@ -152,7 +152,11 @@ class TestSmallAlpha:
         assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-14)
         try:
             state = fock_state(fam, fock_truncation(alpha))
-        except (DegeneracyError, CapacityError):
+        except DegeneracyError:
+            return
+        except CapacityError:
+            # above 5e-8, 1 - x^2 = -expm1(-4 alpha^2) judges the cutoff, not its cancelled form
+            assert alpha <= 5e-8
             return
         assert np.all(np.isfinite(state.amplitudes))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
+import bellbound
 from bellbound import (
     Assemblage,
     CoherentFamily,
@@ -25,7 +26,7 @@ from bellbound import (
     schmidt_sum_squared,
     trace_norm,
 )
-from bellbound.qstate import PSD_ATOL
+from bellbound.qstate import PSD_ATOL, count, positive_real
 from helpers import (count_lapack, random_pure_state, random_unit_vector,
                      reference_schmidt_bases)
 
@@ -333,3 +334,65 @@ class TestBellLikeState:
         v2 = np.array([0, 1], dtype=complex)
         with pytest.raises(ValueError):
             bell_like_state(v1, v2, 2, 0)
+
+
+#: Callers that take a count or a positive real, each given a value the
+#: shared checks refuse: a bool, a float where a count is due, or a NaN.
+_REFUSED = {
+    "build_source_1xs.s2=True": lambda sd: bellbound.build_source_1xs(sd, True),
+    "build_source_1xs.s2=2.0": lambda sd: bellbound.build_source_1xs(sd, 2.0),
+    "build_source_sx1.s1=0": lambda sd: bellbound.build_source_sx1(sd, 0),
+    "SourceOperator.d1=True": lambda sd: SourceOperator(
+        s1=1, s2=1, d1=True, d2=4, matrix=np.eye(4) / 4),
+    "verify_dilation.n_samples=2.5": lambda sd: bellbound.verify_dilation(
+        bellbound.build_source_1xs(sd, 1), BELL, n_samples=2.5),
+    "seesaw_maximize.restarts=1.5": lambda sd: bellbound.seesaw_maximize(
+        bellbound.chsh_functional(), BELL, restarts=1.5),
+    "seesaw_maximize.max_iters=True": lambda sd: bellbound.seesaw_maximize(
+        bellbound.chsh_functional(), BELL, max_iters=True),
+    "schmidt_settings_bound.s1=True": lambda sd: bellbound.schmidt_settings_bound(sd, True, 2),
+    "bound_report.s2=2.0": lambda sd: bellbound.bound_report(sd, 2, 2, 2, 2.0),
+    "projective_bound.d=2.0": lambda sd: bellbound.projective_bound(2.0, 2),
+    "CoherentFamily.family=True": lambda sd: CoherentFamily(True, 0.5),
+    "CoherentFamily.family=2.0": lambda sd: CoherentFamily(2.0, 0.5),
+    "CoherentFamily.alpha=True": lambda sd: CoherentFamily(1, True),
+    "FockTruncation.cutoff=True": lambda sd: bellbound.FockTruncation(cutoff=True, tail_bound=0.0),
+    "fock_truncation.cutoff=20.0": lambda sd: fock_truncation(0.5, cutoff=20.0),
+    "coherent_fock_vector.alpha=nan": lambda sd: bellbound.coherent_fock_vector(
+        1, math.nan, fock_truncation(0.5)),
+    "bound_curve.steps=1": lambda sd: bellbound.bound_curve(1, 0.1, 1.0, 1),
+    "bound_curve.steps=10.0": lambda sd: bellbound.bound_curve(1, 0.1, 1.0, 10.0),
+}
+
+
+class TestCountsAndPositiveReals:
+    def test_count(self):
+        assert count("s", np.int64(3)) == 3 and type(count("s", np.int64(3))) is int
+        for bad in (True, False, 2.0, 1.5, "2", None, 0, -1):
+            with pytest.raises(ValueError, match=f"s must be an integer >= 1, got {bad!r}"):
+                count("s", bad)
+        with pytest.raises(ValueError, match="steps must be an integer >= 2, got 1"):
+            count("steps", 1, least=2)
+
+    def test_positive_real(self):
+        for good in (2, np.float64(0.5), 1e-300, np.int64(3)):
+            got = positive_real("alpha", good)
+            assert got == good and type(got) is float
+        for bad in (True, 0, 0.0, -1.0, math.nan, math.inf, "1", None, 1j):
+            with pytest.raises(ValueError, match="alpha must be a positive finite real"):
+                positive_real("alpha", bad)
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_callers_refuse(self, name):
+        with pytest.raises(ValueError, match="must be an integer >=|positive finite real"):
+            _REFUSED[name](schmidt_decompose(BELL))
+
+    def test_numpy_integers_are_counts(self):
+        sd = schmidt_decompose(BELL)
+        assert bellbound.schmidt_settings_bound(sd, np.int64(2), 2) == (
+            bellbound.schmidt_settings_bound(sd, 2, 2))
+        assert bellbound.projective_bound(np.int64(4), np.int64(2)) == 2.0
+        op = bellbound.build_source_1xs(sd, np.int64(2))
+        assert [type(v) for v in (op.s1, op.s2, op.d1, op.d2)] == [int] * 4
+        assert type(bellbound.FockTruncation(cutoff=np.int64(20), tail_bound=0.0).cutoff) is int
+        assert CoherentFamily(np.int64(3), np.float64(0.5)) == CoherentFamily(3, 0.5)

@@ -28,6 +28,7 @@ from bellbound import (
     max_tensor_dim,
     schmidt_decompose,
     schmidt_sum_squared,
+    seesaw_maximize,
     source_operator_from_json,
     source_operator_to_json,
     trace_norm,
@@ -845,6 +846,15 @@ class TestGatheredTag:
         assert copied[0] == copied[1] == copied[2]
         assert abs(copied[0] - norm) <= 1e-13 * norm
 
+    def test_tag_is_read_only(self):
+        # a forged tag would give the two-copy Bell operator (trace norm
+        # sqrt(3)) the trace norm 1 of a product state
+        op = build_source_1xs(schmidt_decompose(BELL), 2)
+        norm = trace_norm(op.matrix)
+        with pytest.raises(AttributeError):
+            op.matrix.schmidt = source_op._Schmidt((1.0,), 1)
+        assert trace_norm(op.matrix) == norm == pytest.approx(math.sqrt(3.0), rel=1e-13)
+
     def test_non_refining_fingerprint_falls_back(self):
         # |00>: 30 builder classes at (3, 3), but all rows save one are zero;
         # the built matrix takes the closed form, its copies the dense path
@@ -874,6 +884,10 @@ _HELD_ARRAYS = {
     "BellFunctional.phi": lambda: chsh_functional().phi,
     "Assemblage.checked_element": lambda: _ragged_assemblage().site1[1][2],
     "Assemblage.stacked_element": lambda: _ragged_assemblage().site2[0][1],
+    "Assemblage.checked_setting": lambda: _ragged_assemblage().site1[1],
+    "Assemblage.stacked_setting": lambda: _ragged_assemblage().site2[0],
+    "seesaw_maximize.site1": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site1[0],
+    "seesaw_maximize.site2": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site2[1],
     "TwoModeAmplitudes.matrix": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)).matrix,
     "coherent_fock_vector": lambda: coherent_fock_vector(-1, 0.5, fock_truncation(0.5)),
     "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[0],
