@@ -35,7 +35,6 @@ from .bounds import (
 from .coherent import (
     CoherentFamily,
     FockTruncation,
-    TwoModeAmplitudes,
     bell_limit_fidelity,
     bound_curve,
     coherent_fock_vector,
@@ -91,7 +90,6 @@ __all__ = [
     "PureState",
     "SchmidtData",
     "SourceOperator",
-    "TwoModeAmplitudes",
     "UnsupportedFunctionalError",
     "ValidationError",
     "ViolationReport",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import dimension_settings_bound, quantum_band, schmidt_settings_bound
+from .bounds import bound_report, quantum_band
 from .errors import (
     CapacityError,
     DegeneracyError,
@@ -530,12 +530,11 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
     """Certify a claimed quantum value against the closed-form bounds.
 
     Recomputes the classical extrema, forms ratio = |value| / b_lhv, and
-    checks it against the lesser of the Schmidt-coefficient bound and the
-    dimension bound (slack ``CERTIFY_ATOL``).  Also reports the interval that
-    must contain every quantum value of the functional and whether ``value``
-    lies inside it, with the float slack of :func:`_value_slack`, which the
-    see-saw's guard uses too.  A NaN or infinite ``value`` raises
-    :class:`ValidationError`.
+    checks it against :func:`bound_report`'s ``applicable_min`` (slack
+    ``CERTIFY_ATOL``).  Also reports the interval that must contain every
+    quantum value of the functional and whether ``value`` lies inside it,
+    with the float slack of :func:`_value_slack`, which the see-saw's guard
+    uses too.  A NaN or infinite ``value`` raises :class:`ValidationError`.
     """
     if not math.isfinite(value):
         raise ValidationError(f"claimed quantum value must be finite, got {value!r}")
@@ -545,19 +544,17 @@ def certify(f: BellFunctional, state: PureState, value: float) -> ViolationRepor
             "classical bound is zero (all deterministic strategies vanish); "
             "violation ratio is undefined"
         )
-    sd = schmidt_decompose(state)
-    b_schmidt = schmidt_settings_bound(sd, f.s1, f.s2)
-    b_dim = dimension_settings_bound(state.d1, state.d2, f.s1, f.s2)
+    rep = bound_report(schmidt_decompose(state), state.d1, state.d2, f.s1, f.s2)
     ratio = abs(value) / ext.b_lhv
-    lo, hi = quantum_band(ext.b_sup, ext.b_inf, b_schmidt)
+    lo, hi = quantum_band(ext.b_sup, ext.b_inf, rep.schmidt_settings)
     slack = _value_slack(f)
     return ViolationReport(
         quantum_value=float(value),
         b_lhv=ext.b_lhv,
         ratio=ratio,
-        bound_schmidt_settings=b_schmidt,
-        bound_dimension_settings=b_dim,
-        certified=bool(ratio <= min(b_schmidt, b_dim) + CERTIFY_ATOL),
+        bound_schmidt_settings=rep.schmidt_settings,
+        bound_dimension_settings=rep.dimension_settings,
+        certified=bool(ratio <= rep.applicable_min + CERTIFY_ATOL),
         band=(lo, hi),
         value_in_band=bool(lo - slack <= value <= hi + slack),
     )

@@ -16,22 +16,21 @@ from .qstate import SchmidtData, count, schmidt_sum_squared
 INFINITE = math.inf
 
 
-def _check_extent(name: str, value) -> float:
-    """Validate a dimension / setting count: positive integer or INFINITE."""
-    if value == INFINITE:
-        return INFINITE
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a positive integer or INFINITE, got {value!r}")
-    if float(value) != int(value) or int(value) < 1:
-        raise ValueError(f"{name} must be a positive integer or INFINITE, got {value!r}")
-    return float(value)
+def _check_extent(name: str, value) -> int | float:
+    """Validate a dimension / setting count: ``INFINITE`` or a count (``qstate.count``)."""
+    return INFINITE if value == INFINITE else count(name, value)
+
+
+def _linear(least: int) -> float:
+    """2 * least - 1 for a count ``least``; ``INFINITE`` from 2^1023, past the doubles."""
+    return INFINITE if least >= 2**1023 else 2.0 * least - 1.0
 
 
 def schmidt_settings_bound(schmidt: SchmidtData, s1: int, s2: int) -> float:
     """2 * min{(sum_k sqrt(lambda_k))^2, s1, s2} - 1."""
     s1 = count("s1", s1)
     s2 = count("s2", s2)
-    return 2.0 * min(schmidt_sum_squared(schmidt), float(s1), float(s2)) - 1.0
+    return 2.0 * min(schmidt_sum_squared(schmidt), s1, s2) - 1.0
 
 
 def schmidt_sum_bound(schmidt: SchmidtData) -> float:
@@ -43,7 +42,8 @@ def dimension_settings_bound(d1, d2, s1, s2) -> float:
     """2 * min{d1, d2, s1, s2} - 1, ignoring INFINITE arguments in the min.
 
     Holds for any state on ``H1 (x) H2`` and any generalized measurements.
-    Raises ``ValueError`` when every argument is infinite.
+    The counts are compared exactly; the bound is ``INFINITE`` when the least
+    is 2^1023 or more.  Raises ``ValueError`` when every argument is infinite.
     """
     extents = [
         _check_extent("d1", d1),
@@ -56,7 +56,7 @@ def dimension_settings_bound(d1, d2, s1, s2) -> float:
         raise ValueError(
             "at least one of d1, d2, s1, s2 must be finite for a finite bound"
         )
-    return 2.0 * min(finite) - 1.0
+    return _linear(min(finite))
 
 
 def projective_bound(d: int, s: int) -> float:
@@ -70,11 +70,10 @@ def projective_bound(d: int, s: int) -> float:
     if s == 1:
         raise ValueError("s = 1 admits no Bell violation; bound requires s >= 2")
     if s == 2:
-        return min(math.sqrt(d), 3.0)
-    linear = 2.0 * min(d, s) - 1.0
-    half_log = (s / 2.0) * math.log(d)
-    root = math.inf if half_log > 700.0 else math.exp(half_log)
-    return min(root, linear)
+        return 3.0 if d >= 9 else math.sqrt(d)
+    # sqrt(d^s) = exp(s log(d) / 2) overflows past exp(700)
+    root = math.inf if s > 1400.0 / math.log(d) else math.exp((s / 2.0) * math.log(d))
+    return min(root, _linear(min(d, s)))
 
 
 def quantum_band(b_sup: float, b_inf: float, upsilon_upper: float) -> tuple[float, float]:
@@ -108,8 +107,8 @@ class BoundReport:
     applicable_min: float
     s1: int
     s2: int
-    d1: float
-    d2: float
+    d1: int | float
+    d2: int | float
 
 
 def bound_report(
@@ -139,7 +138,7 @@ def bound_report(
             raise ValueError(
                 f"projective hypotheses require equal setting counts, got {s1} and {s2}"
             )
-        b_proj = projective_bound(int(d1), s1)
+        b_proj = projective_bound(d1, s1)
     present = [b_schmidt, b_sum, b_dim] + ([b_proj] if b_proj is not None else [])
     return BoundReport(
         schmidt_settings=b_schmidt,

@@ -59,10 +59,6 @@ def _load_state(path: str):
         return state_from_json(json.load(fh))
 
 
-def _extent_json(extent: float):
-    return "infinite" if extent == bounds.INFINITE else int(extent)
-
-
 def _arg(*flags, **kwargs):
     """One argument, as a function that adds it to a parser or a group."""
     return lambda parser: parser.add_argument(*flags, **kwargs)
@@ -136,8 +132,8 @@ def _cmd_bound(args) -> dict:
         "applicable_min": rep.applicable_min,
         "s1": rep.s1,
         "s2": rep.s2,
-        "d1": _extent_json(rep.d1),
-        "d2": _extent_json(rep.d2),
+        "d1": rep.d1,
+        "d2": rep.d2,
         "schmidt_rank": sd.rank,
         "truncation_tol": args.tol,
         "seed": args.seed,

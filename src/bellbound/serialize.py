@@ -20,7 +20,7 @@ import numpy as np
 
 from .bell import BellFunctional, OutcomeSet, chsh_functional
 from .bounds import INFINITE
-from .coherent import CoherentFamily, check_fock_cutoff, fock_state, fock_truncation
+from .coherent import CoherentFamily, fock_state, fock_truncation
 from .errors import ValidationError
 from .qstate import PureState
 from .source_op import SourceOperator
@@ -88,11 +88,11 @@ def json_reals(obj: dict, key: str, context: str) -> np.ndarray:
         ) from exc
 
 
-def state_from_json(obj: dict) -> tuple[PureState, float, float]:
+def state_from_json(obj: dict) -> tuple[PureState, int | float, int | float]:
     """Parse a state description; returns (state, d1 extent, d2 extent).
 
-    Extents are the ambient Hilbert-space dimensions: the matrix dimensions
-    for dense/schmidt inputs and the infinite marker for coherent families.
+    Extents are the ambient Hilbert-space dimensions: the matrix dimensions,
+    as ``int``, for dense/schmidt inputs and ``INFINITE`` for coherent families.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"state JSON must be an object, got {type(obj).__name__}")
@@ -107,7 +107,7 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
                 f"dense state arrays must have shape ({d1}, {d2}), got "
                 f"{re.shape} and {im.shape}"
             )
-        return PureState(re + 1j * im), float(d1), float(d2)
+        return PureState(re + 1j * im), d1, d2
     if kind == "schmidt":
         coeffs = json_reals(obj, "coefficients", "schmidt state")
         if coeffs.ndim != 1 or len(coeffs) < 1:
@@ -115,7 +115,7 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
         if np.any(coeffs < 0):
             raise ValidationError("schmidt coefficients must be nonnegative")
         r = len(coeffs)
-        return PureState(np.diag(coeffs.astype(complex))), float(r), float(r)
+        return PureState(np.diag(coeffs.astype(complex))), r, r
     if kind == "coherent":
         family = json_int(obj, "family", "coherent state")
         alpha = json_reals(obj, "alpha", "coherent state")
@@ -125,8 +125,6 @@ def state_from_json(obj: dict) -> tuple[PureState, float, float]:
         if cutoff != "auto":
             cutoff = json_int(obj, "cutoff", "coherent state")
         fam = CoherentFamily(family, float(alpha))
-        if cutoff != "auto":
-            check_fock_cutoff(cutoff)  # before the tail, which sums cutoff + 1 terms
         trunc = fock_truncation(fam.alpha, cutoff=cutoff)
         return fock_state(fam, trunc), INFINITE, INFINITE
     raise ValidationError(f"unknown state type {kind!r}")

@@ -76,6 +76,12 @@ class TestDimensionSettingsBound:
         with pytest.raises(ValueError):
             dimension_settings_bound(2.5, 2, 2, 2)
 
+    def test_huge_counts_are_exact(self):
+        assert dimension_settings_bound(INFINITE, INFINITE, 2**1100, 2**1100) == INFINITE
+        assert dimension_settings_bound(INFINITE, INFINITE, 2**1023, 2**1100) == INFINITE
+        assert dimension_settings_bound(INFINITE, 3, 10**400, 10**400) == 5.0
+        assert schmidt_settings_bound(BELL_SD, 10**400, 2) == pytest.approx(3.0)
+
 
 class TestProjectiveBound:
     def test_two_settings(self):
@@ -92,6 +98,11 @@ class TestProjectiveBound:
 
     def test_huge_exponent_does_not_overflow(self):
         assert projective_bound(2, 2100) == pytest.approx(3.0, abs=1e-12)
+
+    def test_huge_counts_are_exact(self):
+        assert projective_bound(2, 10**400) == 3.0
+        assert projective_bound(10**400, 2) == 3.0
+        assert projective_bound(10**400, 10**400) == INFINITE
 
     def test_single_setting_rejected(self):
         with pytest.raises(ValueError, match="s = 1"):

@@ -11,7 +11,7 @@ import pytest
 from bellbound import chsh_functional, source_operator_from_json
 from bellbound.cli import main
 from bellbound.coherent import MAX_CURVE_STEPS
-from bellbound.serialize import functional_to_json
+from bellbound.serialize import functional_to_json, state_from_json
 from helpers import separable_functional
 
 ROOT2 = math.sqrt(2)
@@ -77,6 +77,15 @@ class TestSchmidtCommand:
         assert json.loads(target.read_text())["rank"] == 2
 
 
+def test_state_extents_are_ints_or_infinite():
+    dense = {"type": "dense", "d1": 2.0, "d2": 1, "re": [[1], [0]], "im": [[0], [0]]}
+    extents = [state_from_json(obj)[1:] for obj in (
+        dense, {"type": "schmidt", "coefficients": [0.6, 0.8, 0.0]},
+        {"type": "coherent", "family": 2, "alpha": 0.5})]
+    assert extents == [(2, 1), (3, 3), (math.inf, math.inf)]
+    assert [type(e) for pair in extents for e in pair] == [int] * 4 + [float] * 2
+
+
 class TestBoundCommand:
     def test_bell_scenario(self, capsys, bell_file):
         code, out, _ = run(capsys, ["bound", "--input", bell_file, "--s1", "2", "--s2", "2"])
@@ -116,6 +125,21 @@ class TestBoundCommand:
         # with infinite dimensions the setting counts carry the bound
         assert report["dimension_settings_bound"] == pytest.approx(3.0)
         assert report["schmidt_settings_bound"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_huge_setting_counts(self, capsys, tmp_path, projective):
+        # counts are compared exactly: 10^400 never becomes a float
+        path = tmp_path / "schmidt_3.json"
+        path.write_text(json.dumps({"type": "schmidt", "coefficients": [0.64, 0.6, 0.48]}))
+        huge = str(10**400)
+        argv = ["bound", "--input", str(path), "--s1", huge, "--s2", huge if projective else "2"]
+        code, out, err = run(capsys, argv + ["--projective"] * projective)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["s1"] == 10**400 and (report["d1"], report["d2"]) == (3, 3)
+        assert report["dimension_settings_bound"] == (5.0 if projective else 3.0)
+        if projective:
+            assert report["projective_bound"] == 5.0
 
     def test_projective_needs_equal_settings(self, capsys, bell_file):
         code, _, err = run(capsys, [
@@ -219,6 +243,11 @@ class TestCoherentCommands:
         assert time.perf_counter() - start < 2.0
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_curve_alpha_max_must_be_finite(self, capsys):
+        code, out, err = run(capsys, ["coherent-curve", "--family", "1", "--alpha-max", "inf"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "alpha_max" in err and "Warning" not in err
 
     def test_large_alpha_capacity_exit(self, capsys):
         code, out, err = run(capsys, ["coherent", "--family", "1", "--alpha", "30"])

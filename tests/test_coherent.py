@@ -112,7 +112,7 @@ class TestAnyPositiveAlpha:
         assert coherent._poisson_tail(1e155, MAX_AUTO_CUTOFF) == 1.0
 
     def test_cutoff_far_below_the_mean_sums_no_term(self, monkeypatch):
-        # alpha^2 = 1e12: a cutoff of 3M is 1e6 standard deviations below the mean
+        # alpha^2 = 1e12: a cutoff of 3M is above the cap, refused before its tail is summed
         calls = []
 
         def counting(x, _real=math.lgamma):
@@ -120,15 +120,15 @@ class TestAnyPositiveAlpha:
             return _real(x)
 
         monkeypatch.setattr(math, "lgamma", counting)
-        with pytest.raises(CapacityError, match="tail mass 1.000e\\+00"):
+        with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
             fock_truncation(1e6, cutoff=3_000_000)
         assert calls == []
 
     @pytest.mark.parametrize("alpha", [50.0, 300.0])
-    def test_far_head_shortcut_matches_the_sum(self, alpha):
-        # on both sides of the 40-standard-deviation edge the sum gives 1.0 too
+    def test_far_below_the_mean_the_tail_is_one(self, alpha):
+        # 40 standard deviations below the mean every head term underflows: the tail is 1.0
         lam = alpha * alpha
-        edge = math.ceil(lam - 40.0 * alpha)  # the first cutoff that is summed
+        edge = math.ceil(lam - 40.0 * alpha)
         for cutoff in (edge - 1, edge):
             head = math.fsum(math.exp(m * math.log(lam) - lam - math.lgamma(m + 1))
                              for m in range(cutoff + 1))
@@ -147,7 +147,7 @@ class TestSmallAlpha:
     def test_finite_amplitudes_or_refusal(self, alpha, family):
         # a RuntimeWarning is an error under the suite's filterwarnings
         fam = CoherentFamily(family, alpha)
-        m = two_mode_amplitudes(fam).matrix
+        m = two_mode_amplitudes(fam)
         assert np.all(np.isfinite(m))
         assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-14)
         try:
@@ -190,8 +190,8 @@ class TestCoherentVectors:
             coherent_fock_vector(1, 2.0, bogus)
 
     def test_underflow_is_capacity_error(self):
-        # an explicit cutoff passes the tail check, but exp(-alpha^2/2) = 0
-        trunc = fock_truncation(40.0, cutoff=2000)
+        # a truncation claiming no tail at the cap, but exp(-alpha^2/2) = 0
+        trunc = FockTruncation(cutoff=MAX_AUTO_CUTOFF, tail_bound=0.0)
         with pytest.raises(CapacityError, match="underflow"):
             coherent_fock_vector(1, 40.0, trunc)
 
@@ -231,18 +231,18 @@ class TestGramSchmidtBasis:
 class TestTwoModeAmplitudes:
     def test_family4_is_singlet(self):
         for alpha in (0.2, 1.0, 2.5):
-            m = two_mode_amplitudes(CoherentFamily(4, alpha)).matrix
+            m = two_mode_amplitudes(CoherentFamily(4, alpha))
             assert_allclose(m, np.array([[0, 1], [-1, 0]]) / math.sqrt(2), atol=1e-15)
 
     def test_family2_large_alpha_limit(self):
-        m = two_mode_amplitudes(CoherentFamily(2, 3.0)).matrix
+        m = two_mode_amplitudes(CoherentFamily(2, 3.0))
         assert abs(m[0, 1] - 1 / math.sqrt(2)) < 1e-7
         assert abs(m[1, 0] - 1 / math.sqrt(2)) < 1e-7
 
     def test_unit_frobenius_norm(self):
         for family in (1, 2, 3, 4):
             for alpha in (0.3, 1.1, 2.2):
-                m = two_mode_amplitudes(CoherentFamily(family, alpha)).matrix
+                m = two_mode_amplitudes(CoherentFamily(family, alpha))
                 assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_fock_space_projection(self):
@@ -255,13 +255,13 @@ class TestTwoModeAmplitudes:
                 u = np.vstack(gram_schmidt_basis(alpha, trunc))
                 big = fock_state(fam, trunc).amplitudes
                 projected = u.conj() @ big @ u.conj().T
-                assert_allclose(projected, two_mode_amplitudes(fam).matrix, atol=1e-9)
+                assert_allclose(projected, two_mode_amplitudes(fam), atol=1e-9)
 
     def test_singular_values_match_eigenvalues(self):
         for family in (1, 2, 3, 4):
             for alpha in (0.1, 0.5, 1.0, 2.0):
                 fam = CoherentFamily(family, alpha)
-                sv = np.linalg.svd(two_mode_amplitudes(fam).matrix, compute_uv=False)
+                sv = np.linalg.svd(two_mode_amplitudes(fam), compute_uv=False)
                 assert_allclose(np.sort(sv**2)[::-1], reduced_eigenvalues(fam), atol=1e-12)
 
 
@@ -350,9 +350,11 @@ class TestFockState:
             assert np.array_equal(got, reference_fock_state(fam, trunc)), alpha
 
     def test_explicit_cutoff_above_cap_refused(self):
-        trunc = fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
+        # no truncation above the cap exists, however it is made
         with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
-            fock_state(CoherentFamily(1, 1.0), trunc)
+            fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
+        with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
+            FockTruncation(cutoff=MAX_AUTO_CUTOFF + 1, tail_bound=0.0)
         # the cap itself is still accepted
         st = fock_state(CoherentFamily(1, 1.0), fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF))
         assert st.d1 == MAX_AUTO_CUTOFF + 1
@@ -403,6 +405,29 @@ class TestBoundCurve:
             bound_curve(1, 0.01, 3.0, 1)
         with pytest.raises(ValueError):
             bound_curve(1, 2.0, 1.0, 10)
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha_min, alpha_max",
+                             [(0.01, 3.0), (1e-9, 1e-3), (0.05, 40.0), (0.1, 1e300)])
+    def test_one_family_and_the_pointwise_values(self, monkeypatch, family, alpha_min, alpha_max):
+        made = []
+
+        class Counting(CoherentFamily):
+            def __post_init__(self):
+                made.append(self.alpha)
+                super().__post_init__()
+
+        monkeypatch.setattr(coherent, "CoherentFamily", Counting)
+        curve = bound_curve(family, alpha_min, alpha_max, 1000)
+        assert made == [alpha_min]
+        for alpha, bound in curve:
+            pointwise = coherent_violation_bound(CoherentFamily(family, alpha))
+            assert bound == pytest.approx(pointwise, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha_max", [math.inf, math.nan, -1.0])
+    def test_alpha_max_is_a_positive_real(self, alpha_max):
+        with pytest.raises(ValueError, match="alpha_max must be a positive finite real"):
+            bound_curve(1, 0.01, alpha_max, 10)
 
 
 class TestFamilyValidation:

@@ -352,6 +352,9 @@ _REFUSED = {
         bellbound.chsh_functional(), BELL, max_iters=True),
     "schmidt_settings_bound.s1=True": lambda sd: bellbound.schmidt_settings_bound(sd, True, 2),
     "bound_report.s2=2.0": lambda sd: bellbound.bound_report(sd, 2, 2, 2, 2.0),
+    "bound_report.d1=2.0": lambda sd: bellbound.bound_report(sd, 2.0, 2, 2, 2),
+    "dimension_settings_bound.s1=3.0": lambda sd: bellbound.dimension_settings_bound(
+        bellbound.INFINITE, 2, 3.0, 2),
     "projective_bound.d=2.0": lambda sd: bellbound.projective_bound(2.0, 2),
     "CoherentFamily.family=True": lambda sd: CoherentFamily(True, 0.5),
     "CoherentFamily.family=2.0": lambda sd: CoherentFamily(2.0, 0.5),

@@ -888,7 +888,7 @@ _HELD_ARRAYS = {
     "Assemblage.stacked_setting": lambda: _ragged_assemblage().site2[0],
     "seesaw_maximize.site1": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site1[0],
     "seesaw_maximize.site2": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site2[1],
-    "TwoModeAmplitudes.matrix": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)).matrix,
+    "two_mode_amplitudes": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)),
     "coherent_fock_vector": lambda: coherent_fock_vector(-1, 0.5, fock_truncation(0.5)),
     "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[0],
     "gram_schmidt_basis.u2": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[1],
