@@ -9,12 +9,14 @@ Four one-parameter families are covered, indexed 1..4 with real amplitude
 Plus-sign families normalize by sqrt(2 (1 + x^2)), minus-sign families by
 sqrt(2 (1 - x^2)).  Everything has closed forms in the orthonormal two-mode
 basis; Fock-space truncations exist to cross-check those forms numerically.
+A :class:`FockTruncation` is made for one alpha, and it alone judges whether
+its cutoff leaves little enough Poisson tail; the vectors built from it trust it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +31,10 @@ MIN_AUTO_CUTOFF = 16
 
 #: Automatic cutoffs never go above this photon number; past it the request
 #: is a capacity error.  At the default tail tolerance that admits alpha up to
-#: about 28.25, so the Fock amplitudes, which start at exp(-alpha^2/2), stay
-#: far from underflow.  :class:`FockTruncation` refuses any cutoff above it,
-#: since a family state's amplitude matrix grows with the cutoff squared.
+#: about 28.25.  At any tolerance below 1 the Poisson tail above it refuses
+#: alpha before exp(-alpha^2/2), the first Fock amplitude, leaves the normal
+#: range (alpha^2 > ~1416).  :class:`FockTruncation` refuses any cutoff above
+#: it, since a family state's amplitude matrix grows with the cutoff squared.
 MAX_AUTO_CUTOFF = 1024
 
 #: Most samples :func:`bound_curve` takes; past it the request is a capacity
@@ -65,32 +68,44 @@ class CoherentFamily:
         return math.exp(-2.0 * (self.alpha * self.alpha))
 
 
-def _capped_cutoff(cutoff) -> int:
-    """``cutoff`` as a count, refused with a capacity error above ``MAX_AUTO_CUTOFF``."""
-    cutoff = count("cutoff", cutoff)
-    if cutoff > MAX_AUTO_CUTOFF:
-        raise CapacityError(
-            f"Fock cutoff {cutoff} is above the largest supported cutoff "
-            f"{MAX_AUTO_CUTOFF}; the amplitude matrix grows with its square"
-        )
-    return cutoff
+def _checked_alpha(alpha, tail_tol) -> float:
+    """``alpha`` as a positive real, once ``tail_tol`` is found to lie in (0, 1)."""
+    alpha = positive_real("alpha", alpha)
+    if not (0.0 < tail_tol < 1.0):
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Photon-number cutoff, at most 1024, with its realized and declared tail bounds."""
+    """Photon-number cutoff for ``|±alpha>``, at most 1024, and the tail mass it leaves.
 
+    The one judge of a cutoff: ``tail_bound`` is computed here as the
+    Poisson(alpha^2) mass above ``cutoff``, and a cutoff above 1024 (refused
+    before any sum) or a tail above ``tail_tol`` is a capacity error.
+    """
+
+    alpha: float
     cutoff: int
-    tail_bound: float
     tail_tol: float = DEFAULT_TAIL_TOL
+    tail_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cutoff", _capped_cutoff(self.cutoff))
-        if self.tail_bound > self.tail_tol:
+        alpha = _checked_alpha(self.alpha, self.tail_tol)
+        cutoff = count("cutoff", self.cutoff)
+        if cutoff > MAX_AUTO_CUTOFF:
             raise CapacityError(
-                f"cutoff {self.cutoff} leaves tail mass {self.tail_bound:.3e}, "
+                f"Fock cutoff {cutoff} is above the largest supported cutoff "
+                f"{MAX_AUTO_CUTOFF}; the amplitude matrix grows with its square"
+            )
+        tail = _poisson_tail(alpha, cutoff)
+        if tail > self.tail_tol:
+            raise CapacityError(
+                f"cutoff {cutoff} leaves tail mass {tail:.3e}, "
                 f"above the requested tolerance {self.tail_tol:.0e}"
             )
+        for name, value in (("alpha", alpha), ("cutoff", cutoff), ("tail_bound", tail)):
+            object.__setattr__(self, name, value)
 
 
 def _poisson_tail(alpha: float, cutoff: int) -> float:
@@ -135,10 +150,8 @@ def fock_truncation(
     explicit integer cutoff above 1024 raises one before its tail is summed,
     and so does one that misses the tolerance.
     """
-    alpha = positive_real("alpha", alpha)
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if cutoff == "auto":
+        alpha = _checked_alpha(alpha, tail_tol)
         if _poisson_tail(alpha, MAX_AUTO_CUTOFF) >= tail_tol:
             raise CapacityError(
                 f"alpha={alpha} needs a Fock cutoff above {MAX_AUTO_CUTOFF} to leave "
@@ -152,42 +165,22 @@ def fock_truncation(
                 hi = mid
             else:
                 lo = mid + 1
-        return FockTruncation(cutoff=lo, tail_bound=_poisson_tail(alpha, lo), tail_tol=tail_tol)
-    cutoff = _capped_cutoff(cutoff)
-    return FockTruncation(
-        cutoff=cutoff, tail_bound=_poisson_tail(alpha, cutoff), tail_tol=tail_tol
-    )
+        cutoff = lo
+    return FockTruncation(alpha, cutoff, tail_tol)
 
 
-def coherent_fock_vector(sign: int, alpha: float, trunc: FockTruncation) -> np.ndarray:
-    """Truncated, renormalized Fock expansion of ``|sign * alpha>``.
+def coherent_fock_vector(sign: int, trunc: FockTruncation) -> np.ndarray:
+    """Truncated, renormalized Fock expansion of ``|sign * alpha>``, alpha = ``trunc.alpha``.
 
     Entry m is proportional to (sign*alpha)^m exp(-alpha^2/2) / sqrt(m!) for
-    m = 0..cutoff; the renormalization factor differs from 1 by less than the
-    truncation's tail tolerance, else a capacity error is raised.
+    m = 0..cutoff: the running product of exp(-alpha^2/2) and sign*alpha / sqrt(k).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    alpha = positive_real("alpha", alpha)
-    n = trunc.cutoff
-    vec = np.empty(n + 1, dtype=float)
-    amp = math.exp(-(alpha * alpha) / 2.0)
-    for m in range(n + 1):
-        vec[m] = amp
-        amp *= sign * alpha / math.sqrt(m + 1)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise CapacityError(
-            f"the Fock amplitudes of alpha={alpha} underflow: exp(-alpha^2/2) is "
-            "below the smallest double"
-        )
-    if abs(1.0 / norm - 1.0) >= trunc.tail_tol:
-        raise CapacityError(
-            f"cutoff {n} is too small for alpha={alpha}: renormalization factor "
-            f"deviates from 1 by {abs(1.0 / norm - 1.0):.3e} "
-            f"(tail tolerance {trunc.tail_tol:.0e})"
-        )
-    return readonly((vec / norm).astype(complex))
+    alpha = trunc.alpha
+    steps = (sign * alpha) / np.sqrt(np.arange(1, trunc.cutoff + 1, dtype=float))
+    vec = np.cumprod(np.concatenate(([math.exp(-(alpha * alpha) / 2.0)], steps)))
+    return readonly((vec / float(np.linalg.norm(vec))).astype(complex))
 
 
 def _check_not_parallel(alpha: float, x: float) -> None:
@@ -199,16 +192,17 @@ def _check_not_parallel(alpha: float, x: float) -> None:
         )
 
 
-def gram_schmidt_basis(alpha: float, trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt_basis(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair (u1, u2) spanning {|alpha>, |-alpha>} in Fock space.
 
     u1 = |alpha> and u2 = (|-alpha> - x |alpha>) / sqrt(1 - x^2) with
-    x = exp(-2 alpha^2), so that |-alpha> = x u1 + sqrt(1 - x^2) u2.
+    x = exp(-2 alpha^2) and alpha = ``trunc.alpha``, so that
+    |-alpha> = x u1 + sqrt(1 - x^2) u2.
     """
-    x = math.exp(-2.0 * alpha * alpha)
-    _check_not_parallel(alpha, x)
-    u1 = coherent_fock_vector(1, alpha, trunc)
-    minus = coherent_fock_vector(-1, alpha, trunc)
+    x = math.exp(-2.0 * trunc.alpha * trunc.alpha)
+    _check_not_parallel(trunc.alpha, x)
+    u1 = coherent_fock_vector(1, trunc)
+    minus = coherent_fock_vector(-1, trunc)
     return u1, readonly((minus - x * u1) / math.sqrt(1.0 - x * x))
 
 
@@ -273,13 +267,16 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     is deemed insufficient; a minus-sign family's is measured against
     ``sqrt(-2 expm1(-4 alpha^2))``, as ``1 - x^2`` cancels at small alpha.  A
     minus-sign family whose normalization vanishes, as ``|alpha>`` and
-    ``|-alpha>`` are numerically parallel, is a degeneracy error.
+    ``|-alpha>`` are numerically parallel, is a degeneracy error, and a
+    truncation made for another alpha is a ValueError.
     """
+    if trunc.alpha != fam.alpha:
+        raise ValueError(f"truncation for alpha={trunc.alpha!r} given for alpha={fam.alpha!r}")
     sign, crossed = _FAMILIES[fam.family]
     if sign < 0:
         _check_not_parallel(fam.alpha, fam.overlap_x)
-    p = coherent_fock_vector(1, fam.alpha, trunc)
-    m = coherent_fock_vector(-1, fam.alpha, trunc)
+    p = coherent_fock_vector(1, trunc)
+    m = coherent_fock_vector(-1, trunc)
     a, b = (m, p) if crossed else (p, m)
     denom = math.sqrt(2.0 * (1.0 + sign * fam.overlap_x ** 2))
     amp = (np.outer(p, a) + sign * np.outer(m, b)) / denom
@@ -293,18 +290,19 @@ def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     return PureState(amp / np.linalg.norm(amp))
 
 
-def bell_limit_fidelity(fam: int, alpha: float, trunc: FockTruncation) -> float:
+def bell_limit_fidelity(family: int, trunc: FockTruncation) -> float:
     """Squared overlap of a minus-sign family state with its single-photon Bell limit.
 
     Family 3 is compared against (|1,0> + |0,1>)/sqrt(2) and family 4 against
     (|1,0> - |0,1>)/sqrt(2), discarding the global sign; as alpha -> 0 the
-    fidelity tends to 1 with closed form [2 alpha e^(-alpha^2) / sqrt(1 - e^(-4 alpha^2))]^2.
+    fidelity tends to 1 with closed form [2 alpha e^(-alpha^2) / sqrt(1 - e^(-4 alpha^2))]^2,
+    where alpha is ``trunc.alpha``.
     """
-    family = CoherentFamily(fam, alpha)
-    sign, crossed = _FAMILIES[family.family]
+    fam = CoherentFamily(family, trunc.alpha)
+    sign, crossed = _FAMILIES[fam.family]
     if sign > 0:
-        raise ValueError(f"Bell-limit fidelity applies to families 3 and 4 only, got {fam}")
-    amp = fock_state(family, trunc).amplitudes
+        raise ValueError(f"Bell-limit fidelity applies to families 3 and 4 only, got {family}")
+    amp = fock_state(fam, trunc).amplitudes
     overlap = (amp[1, 0] + (-1.0 if crossed else 1.0) * amp[0, 1]) / math.sqrt(2.0)
     return float(abs(overlap) ** 2)
 

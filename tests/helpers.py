@@ -243,6 +243,22 @@ def reference_dilation_residual(op, state, n_samples, seed):
     return worst
 
 
+def reference_coherent_fock_vector(sign, trunc):
+    """``coherent_fock_vector`` written out entry by entry.
+
+    The library forms the running product with one ``np.cumprod``; this is
+    the per-entry loop it replaced, the same multiplications in the same
+    order, kept to compare bit for bit.
+    """
+    alpha = trunc.alpha
+    vec = np.empty(trunc.cutoff + 1, dtype=float)
+    amp = math.exp(-(alpha * alpha) / 2.0)
+    for m in range(trunc.cutoff + 1):
+        vec[m] = amp
+        amp *= sign * alpha / math.sqrt(m + 1)
+    return (vec / float(np.linalg.norm(vec))).astype(complex)
+
+
 def reference_fock_state(fam, trunc):
     """Amplitudes of ``fock_state`` as its four explicit family branches built them.
 
@@ -251,8 +267,8 @@ def reference_fock_state(fam, trunc):
     """
     from bellbound import coherent_fock_vector
 
-    p = coherent_fock_vector(1, fam.alpha, trunc)
-    m = coherent_fock_vector(-1, fam.alpha, trunc)
+    p = coherent_fock_vector(1, trunc)
+    m = coherent_fock_vector(-1, trunc)
     x2 = fam.overlap_x ** 2
     if fam.family == 1:
         raw = np.outer(p, p) + np.outer(m, m)

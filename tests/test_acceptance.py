@@ -196,8 +196,8 @@ def test_criterion_8_partially_entangled_chsh():
 def test_criterion_9_bell_limit_fidelity():
     def body():
         trunc = fock_truncation(0.1)
-        assert bell_limit_fidelity(3, 0.1, trunc) >= 0.999
-        fids = [bell_limit_fidelity(3, a, fock_truncation(a)) for a in (0.5, 0.3, 0.1)]
+        assert bell_limit_fidelity(3, trunc) >= 0.999
+        fids = [bell_limit_fidelity(3, fock_truncation(a)) for a in (0.5, 0.3, 0.1)]
         assert fids[0] < fids[1] < fids[2]
 
     _run(9, "small-amplitude families approach the single-photon Bell state", 2.0, body)

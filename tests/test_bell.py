@@ -661,6 +661,16 @@ class TestSeesaw:
         with pytest.raises(ValueError):
             seesaw_maximize(chsh_functional(), BELL, tol=-1.0)
 
+    def test_sweep_budget_capped_before_any_draw(self, monkeypatch):
+        cap = bell_module.MAX_SEESAW_SWEEPS
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", mock.Mock(side_effect=AssertionError))
+            with pytest.raises(CapacityError, match="cap of"):
+                seesaw_maximize(chsh_functional(), BELL, restarts=2, max_iters=cap // 2 + 1)
+        # the cap itself is admitted; CHSH converges in a few sweeps
+        value, _ = seesaw_maximize(chsh_functional(), BELL, restarts=1, max_iters=cap)
+        assert value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
     def test_deterministic_given_seed(self):
         f = random_functional(np.random.default_rng(5), 2, 2)
         v1, _ = seesaw_maximize(f, BELL, restarts=2, seed=9)

@@ -186,6 +186,15 @@ class TestSourceOpCommand:
         assert code == 3
         assert "size guard" in err
 
+    def test_check_samples_capped(self, capsys, bell_file):
+        # 10^9 pairs would stream for most of an hour; the cap refuses them before any draw
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["source-op", "--input", bell_file, "--s2", "2",
+                                      "--check", "--samples", "1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "cap of" in err
+
     @pytest.mark.parametrize("s2", ["2000", "100000", "10000000"])
     def test_size_guard_forms_no_power(self, capsys, tmp_path, s2):
         # 3^s2 has up to 4.8 million digits: the guard decides by bit lengths
@@ -400,6 +409,14 @@ class TestViolateCommand:
         assert code == 0
         assert json.loads(out)["certified"] is True
 
+    def test_sweep_budget_capped(self, capsys, bell_file):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["violate", "--functional", "chsh", "--input", bell_file,
+                                      "--restarts", "100000", "--iters", "100000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "cap of" in err
+
     def test_byte_identical_reruns(self, capsys, bell_file):
         argv = ["violate", "--functional", "chsh", "--input", bell_file, "--seed", "7"]
         _, first, _ = run(capsys, argv)
@@ -462,6 +479,21 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["schmidt"], ["bound", "--s1", "2", "--s2", "2"]])
+    def test_large_alpha_state_file_is_a_state(self, capsys, tmp_path, argv):
+        # cutoff 840 leaves tail mass 8.9e-15, below 1e-14; 1/||v|| - 1 reads 1.8e-14
+        # from the rounding of the running product alone, and no longer judges the cutoff
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps({"type": "coherent", "family": 1, "alpha": 25.249637203638695}))
+        code, out, err = run(capsys, [argv[0], "--input", str(path), *argv[1:]])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        if argv[0] == "schmidt":
+            assert report["d1"] == 841
+            assert report["coefficients"] == pytest.approx([INV_ROOT2, INV_ROOT2], abs=1e-12)
+        else:
+            assert report["schmidt_sum_bound"] == pytest.approx(3.0, abs=1e-12)
 
     def test_huge_explicit_cutoff_refused_fast(self, capsys, tmp_path):
         # the amplitude matrix would need tens of GB; the guard must fire first

@@ -28,7 +28,7 @@ from bellbound import (
 )
 from bellbound import coherent
 from bellbound.coherent import MAX_AUTO_CUTOFF
-from helpers import reference_fock_state
+from helpers import reference_coherent_fock_vector, reference_fock_state
 
 
 def _fidelity_limit(alpha):
@@ -82,7 +82,24 @@ class TestFockTruncation:
         with pytest.raises(ValueError):
             fock_truncation(1.0, cutoff=3.5)
         with pytest.raises(ValueError):
-            FockTruncation(cutoff=0, tail_bound=0.0)
+            FockTruncation(1.0, cutoff=0)
+        with pytest.raises(ValueError, match="tail_tol"):
+            FockTruncation(1.0, cutoff=16, tail_tol=1.0)
+        with pytest.raises(TypeError):
+            FockTruncation(1.0, cutoff=16, tail_bound=0.0)  # the tail is computed, not passed
+
+    def test_tail_is_computed(self):
+        trunc = FockTruncation(2.0, cutoff=40, tail_tol=1e-12)
+        assert (trunc.alpha, trunc.cutoff, trunc.tail_tol) == (2.0, 40, 1e-12)
+        assert trunc.tail_bound == coherent._poisson_tail(2.0, 40)
+        assert fock_truncation(2.0, cutoff=40, tail_tol=1e-12) == trunc
+
+    @pytest.mark.parametrize("alpha, cutoff", [(2.0, 5), (40.0, MAX_AUTO_CUTOFF)])
+    def test_too_small_cutoff_refused(self, alpha, cutoff):
+        # the renormalization and underflow checks of the vector builder are gone:
+        # these cutoffs leave tail mass 0.21 and 1.0, and no truncation is made
+        with pytest.raises(CapacityError, match=f"cutoff {cutoff} leaves tail mass"):
+            FockTruncation(alpha, cutoff)
 
 
 class TestAnyPositiveAlpha:
@@ -170,40 +187,36 @@ class TestSmallAlpha:
 class TestCoherentVectors:
     def test_overlap_matches_gaussian_formula(self):
         trunc = fock_truncation(1.0)
-        plus = coherent_fock_vector(1, 1.0, trunc)
-        minus = coherent_fock_vector(-1, 1.0, trunc)
+        plus = coherent_fock_vector(1, trunc)
+        minus = coherent_fock_vector(-1, trunc)
         assert abs(np.vdot(plus, minus) - math.exp(-2.0)) < 1e-12
 
     def test_unit_norm(self):
         for alpha in (0.1, 0.7, 2.0):
-            vec = coherent_fock_vector(1, alpha, fock_truncation(alpha))
+            vec = coherent_fock_vector(1, fock_truncation(alpha))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_alpha_approaches_vacuum(self):
-        vec = coherent_fock_vector(1, 1e-3, fock_truncation(1e-3))
+        vec = coherent_fock_vector(1, fock_truncation(1e-3))
         assert vec[0].real > 0.9999994
-
-    def test_lying_truncation_caught(self):
-        # a truncation object claiming a tail bound its cutoff cannot deliver
-        bogus = FockTruncation(cutoff=5, tail_bound=0.0)
-        with pytest.raises(CapacityError, match="renormalization"):
-            coherent_fock_vector(1, 2.0, bogus)
-
-    def test_underflow_is_capacity_error(self):
-        # a truncation claiming no tail at the cap, but exp(-alpha^2/2) = 0
-        trunc = FockTruncation(cutoff=MAX_AUTO_CUTOFF, tail_bound=0.0)
-        with pytest.raises(CapacityError, match="underflow"):
-            coherent_fock_vector(1, 40.0, trunc)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
-            coherent_fock_vector(0, 1.0, fock_truncation(1.0))
+            coherent_fock_vector(0, fock_truncation(1.0))
+
+    @pytest.mark.parametrize("tail_tol", [1e-14, 1e-6])
+    def test_matches_the_per_entry_loop(self, tail_tol):
+        for alpha in np.concatenate([np.geomspace(6e-8, 28.25, 120), [25.249637203638695]]):
+            trunc = fock_truncation(float(alpha), tail_tol=tail_tol)
+            for sign in (1, -1):
+                got = coherent_fock_vector(sign, trunc)
+                assert np.array_equal(got, reference_coherent_fock_vector(sign, trunc)), alpha
 
 
 class TestGramSchmidtBasis:
     def test_orthonormal(self):
         trunc = fock_truncation(0.8)
-        u1, u2 = gram_schmidt_basis(0.8, trunc)
+        u1, u2 = gram_schmidt_basis(trunc)
         assert abs(np.vdot(u1, u1) - 1) < 1e-12
         assert abs(np.vdot(u2, u2) - 1) < 1e-12
         assert abs(np.vdot(u1, u2)) < 1e-12
@@ -211,21 +224,21 @@ class TestGramSchmidtBasis:
     def test_second_vector_overlap(self):
         alpha = 0.5
         trunc = fock_truncation(alpha)
-        _, u2 = gram_schmidt_basis(alpha, trunc)
-        minus = coherent_fock_vector(-1, alpha, trunc)
+        _, u2 = gram_schmidt_basis(trunc)
+        minus = coherent_fock_vector(-1, trunc)
         assert abs(np.vdot(u2, minus) - math.sqrt(1 - math.exp(-1.0))) < 1e-12
 
     def test_reconstruction(self):
         alpha = 1.0
         trunc = fock_truncation(alpha)
-        u1, u2 = gram_schmidt_basis(alpha, trunc)
-        minus = coherent_fock_vector(-1, alpha, trunc)
+        u1, u2 = gram_schmidt_basis(trunc)
+        minus = coherent_fock_vector(-1, trunc)
         rebuilt = math.exp(-2.0) * u1 + math.sqrt(1 - math.exp(-4.0)) * u2
         assert np.max(np.abs(rebuilt - minus)) < 1e-12
 
     def test_degenerate_alpha(self):
         with pytest.raises(DegeneracyError, match="parallel"):
-            gram_schmidt_basis(1e-9, fock_truncation(1e-9))
+            gram_schmidt_basis(fock_truncation(1e-9))
 
 
 class TestTwoModeAmplitudes:
@@ -252,7 +265,7 @@ class TestTwoModeAmplitudes:
             for alpha in (0.4, 1.0):
                 fam = CoherentFamily(family, alpha)
                 trunc = fock_truncation(alpha)
-                u = np.vstack(gram_schmidt_basis(alpha, trunc))
+                u = np.vstack(gram_schmidt_basis(trunc))
                 big = fock_state(fam, trunc).amplitudes
                 projected = u.conj() @ big @ u.conj().T
                 assert_allclose(projected, two_mode_amplitudes(fam), atol=1e-9)
@@ -354,34 +367,52 @@ class TestFockState:
         with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
             fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
         with pytest.raises(CapacityError, match=f"largest supported cutoff {MAX_AUTO_CUTOFF}"):
-            FockTruncation(cutoff=MAX_AUTO_CUTOFF + 1, tail_bound=0.0)
+            FockTruncation(1.0, cutoff=MAX_AUTO_CUTOFF + 1)
         # the cap itself is still accepted
         st = fock_state(CoherentFamily(1, 1.0), fock_truncation(1.0, cutoff=MAX_AUTO_CUTOFF))
         assert st.d1 == MAX_AUTO_CUTOFF + 1
+
+    def test_truncation_for_another_alpha_refused(self):
+        with pytest.raises(ValueError, match="truncation for alpha=1.0 given for alpha=2.0"):
+            fock_state(CoherentFamily(1, 2.0), fock_truncation(1.0))
+
+    def test_tail_below_the_rounding_of_the_norm(self):
+        # cutoff 17 leaves tail mass 6.1e-17, below the 2.2e-16 rounding of 1/||v|| - 1
+        st = fock_state(CoherentFamily(1, 1.0), fock_truncation(1.0, tail_tol=1e-16))
+        assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+    def test_large_alpha_deck_yields_states(self):
+        # 400 alpha uniform in [8, 28.25]: each cutoff leaves tail mass below 1e-14,
+        # however far the running product's rounding moves 1/||v|| from 1
+        for alpha in np.random.default_rng(281).uniform(8.0, 28.25, 400):
+            trunc = fock_truncation(float(alpha))
+            for family in (1, 2, 3, 4):
+                st = fock_state(CoherentFamily(family, trunc.alpha), trunc)
+                assert st.d1 == trunc.cutoff + 1
 
 
 class TestBellLimitFidelity:
     def test_matches_closed_form(self):
         for family in (3, 4):
             for alpha in (0.5, 0.3, 0.1):
-                got = bell_limit_fidelity(family, alpha, fock_truncation(alpha))
+                got = bell_limit_fidelity(family, fock_truncation(alpha))
                 assert got == pytest.approx(_fidelity_limit(alpha), abs=1e-9)
 
     def test_small_alpha_near_unity(self):
         trunc = fock_truncation(0.1)
-        assert bell_limit_fidelity(3, 0.1, trunc) > 0.999
-        assert bell_limit_fidelity(3, 0.1, trunc) == pytest.approx(0.999933, abs=1e-6)
+        assert bell_limit_fidelity(3, trunc) > 0.999
+        assert bell_limit_fidelity(3, trunc) == pytest.approx(0.999933, abs=1e-6)
 
     def test_monotone_as_alpha_shrinks(self):
-        vals = [bell_limit_fidelity(3, a, fock_truncation(a)) for a in (0.5, 0.3, 0.1)]
+        vals = [bell_limit_fidelity(3, fock_truncation(a)) for a in (0.5, 0.3, 0.1)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_large_alpha_departs(self):
-        assert bell_limit_fidelity(3, 2.0, fock_truncation(2.0)) < 0.9
+        assert bell_limit_fidelity(3, fock_truncation(2.0)) < 0.9
 
     def test_plus_family_rejected(self):
         with pytest.raises(ValueError, match="families 3 and 4"):
-            bell_limit_fidelity(1, 0.5, fock_truncation(0.5))
+            bell_limit_fidelity(1, fock_truncation(0.5))
 
 
 class TestBoundCurve:

@@ -359,10 +359,9 @@ _REFUSED = {
     "CoherentFamily.family=True": lambda sd: CoherentFamily(True, 0.5),
     "CoherentFamily.family=2.0": lambda sd: CoherentFamily(2.0, 0.5),
     "CoherentFamily.alpha=True": lambda sd: CoherentFamily(1, True),
-    "FockTruncation.cutoff=True": lambda sd: bellbound.FockTruncation(cutoff=True, tail_bound=0.0),
+    "FockTruncation.cutoff=True": lambda sd: bellbound.FockTruncation(0.5, cutoff=True),
     "fock_truncation.cutoff=20.0": lambda sd: fock_truncation(0.5, cutoff=20.0),
-    "coherent_fock_vector.alpha=nan": lambda sd: bellbound.coherent_fock_vector(
-        1, math.nan, fock_truncation(0.5)),
+    "FockTruncation.alpha=nan": lambda sd: bellbound.FockTruncation(math.nan, cutoff=20),
     "bound_curve.steps=1": lambda sd: bellbound.bound_curve(1, 0.1, 1.0, 1),
     "bound_curve.steps=10.0": lambda sd: bellbound.bound_curve(1, 0.1, 1.0, 10.0),
 }
@@ -397,5 +396,5 @@ class TestCountsAndPositiveReals:
         assert bellbound.projective_bound(np.int64(4), np.int64(2)) == 2.0
         op = bellbound.build_source_1xs(sd, np.int64(2))
         assert [type(v) for v in (op.s1, op.s2, op.d1, op.d2)] == [int] * 4
-        assert type(bellbound.FockTruncation(cutoff=np.int64(20), tail_bound=0.0).cutoff) is int
+        assert type(bellbound.FockTruncation(0.5, cutoff=np.int64(20)).cutoff) is int
         assert CoherentFamily(np.int64(3), np.float64(0.5)) == CoherentFamily(3, 0.5)

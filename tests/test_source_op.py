@@ -439,6 +439,17 @@ class TestSeededPairs:
         verify_dilation(op, st, n_samples=n, seed=0)
         assert source_op._seeded_pairs.cache_info().currsize == 1
 
+    def test_draws_capped_before_any_draw(self, monkeypatch):
+        st, op = self._cases()[0]
+        n = source_op.MAX_DILATION_ENTRIES // (op.d1**2 + op.d2**2)
+        draws = _count_draws(monkeypatch)
+        with pytest.raises(CapacityError, match="cap of"):
+            verify_dilation(op, st, n_samples=n + 1)
+        assert draws == []
+        # the cap itself is admitted; no pairs are streamed, to keep the check instant
+        monkeypatch.setattr(source_op, "_unit_hermitian_pairs", lambda *args: iter(()))
+        assert verify_dilation(op, st, n_samples=n) == 0.0
+
     def test_cached_pairs_are_read_only(self):
         for x in source_op._seeded_pairs(2, 3, 4, 0):
             assert not x.flags.writeable
@@ -889,9 +900,9 @@ _HELD_ARRAYS = {
     "seesaw_maximize.site1": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site1[0],
     "seesaw_maximize.site2": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site2[1],
     "two_mode_amplitudes": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)),
-    "coherent_fock_vector": lambda: coherent_fock_vector(-1, 0.5, fock_truncation(0.5)),
-    "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[0],
-    "gram_schmidt_basis.u2": lambda: gram_schmidt_basis(0.5, fock_truncation(0.5))[1],
+    "coherent_fock_vector": lambda: coherent_fock_vector(-1, fock_truncation(0.5)),
+    "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(fock_truncation(0.5))[0],
+    "gram_schmidt_basis.u2": lambda: gram_schmidt_basis(fock_truncation(0.5))[1],
     "SourceOperator.caller_matrix": lambda: SourceOperator(
         s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4).matrix,
     "SourceOperator.caller_core": lambda: SourceOperator(
