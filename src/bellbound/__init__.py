@@ -41,7 +41,7 @@ from .coherent import (
     coherent_violation_bound,
     fock_state,
     fock_truncation,
-    gram_schmidt_basis,
+    parity_basis,
     reduced_eigenvalues,
     two_mode_amplitudes,
 )
@@ -107,9 +107,9 @@ __all__ = [
     "dimension_settings_bound",
     "fock_state",
     "fock_truncation",
-    "gram_schmidt_basis",
     "lhv_extrema",
     "max_tensor_dim",
+    "parity_basis",
     "projective_bound",
     "quantum_band",
     "quantum_probabilities",

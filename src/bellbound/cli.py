@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 
@@ -19,6 +18,7 @@ from .errors import BellboundError, CapacityError
 from .qstate import DEFAULT_TRUNCATION_TOL, schmidt_decompose, schmidt_sum_squared
 from .serialize import (
     complex_matrix_json,
+    read_json,
     render_json,
     resolve_functional,
     source_operator_to_json,
@@ -55,8 +55,7 @@ class _UsageError(Exception):
 
 
 def _load_state(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+    return state_from_json(read_json(path))
 
 
 def _arg(*flags, **kwargs):

@@ -6,11 +6,13 @@ Four one-parameter families are covered, indexed 1..4 with real amplitude
     1:  |a>|a> + |-a>|-a>     3:  |a>|a> - |-a>|-a>
     2:  |a>|-a> + |-a>|a>     4:  |a>|-a> - |-a>|a>
 
-Plus-sign families normalize by sqrt(2 (1 + x^2)), minus-sign families by
-sqrt(2 (1 - x^2)).  Everything has closed forms in the orthonormal two-mode
-basis; Fock-space truncations exist to cross-check those forms numerically.
-A :class:`FockTruncation` is made for one alpha, and it alone judges whether
-its cutoff leaves little enough Poisson tail; the vectors built from it trust it.
+In the even/odd pair ``e± = (|a> ± |-a>) / sqrt(2 (1 ± x))`` each family is
+already in Schmidt form: ``(1 + x) e+e+ ± (1 - x) e-e-`` for families 1 and 2,
+``(e-e+ ± e+e-) / sqrt(2)`` for families 3 and 4.  Everything has closed
+forms in that basis; Fock-space truncations exist to cross-check those forms
+numerically.  A :class:`FockTruncation` is made for one alpha, and it alone
+judges whether its cutoff leaves little enough Poisson tail; the vectors
+built from it trust it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DegeneracyError
-from .qstate import FOCK_NORM_ATOL, PARALLEL_ATOL, PureState, count, positive_real, readonly
+from .errors import CapacityError
+from .qstate import PureState, count, positive_real, readonly
 
 #: Default bound on the coherent-state mass left above an automatic cutoff.
 DEFAULT_TAIL_TOL = 1e-14
@@ -183,46 +185,42 @@ def coherent_fock_vector(sign: int, trunc: FockTruncation) -> np.ndarray:
     return readonly((vec / float(np.linalg.norm(vec))).astype(complex))
 
 
-def _check_not_parallel(alpha: float, x: float) -> None:
-    """Refuse ``|alpha>`` and ``|-alpha>`` of overlap ``x`` with ``1 - x^2`` below PARALLEL_ATOL."""
-    if 1.0 - x * x < PARALLEL_ATOL:
-        raise DegeneracyError(
-            f"|alpha> and |-alpha> are numerically parallel at alpha={alpha!r} "
-            f"(1 - x^2 = {1.0 - x * x:.3e})"
-        )
+def parity_basis(trunc: FockTruncation) -> np.ndarray:
+    """Orthonormal even/odd pair (e+, e-) spanning {|alpha>, |-alpha>}: a read-only array's rows.
 
-
-def gram_schmidt_basis(trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair (u1, u2) spanning {|alpha>, |-alpha>} in Fock space.
-
-    u1 = |alpha> and u2 = (|-alpha> - x |alpha>) / sqrt(1 - x^2) with
-    x = exp(-2 alpha^2) and alpha = ``trunc.alpha``, so that
-    |-alpha> = x u1 + sqrt(1 - x^2) u2.
+    ``e± = (|alpha> ± |-alpha>) / sqrt(2 (1 ± x))`` with x = exp(-2 alpha^2)
+    and alpha = ``trunc.alpha``: the even and the odd entries of ``|alpha>``,
+    each scaled by its largest entry and then normalized on its own, so
+    neither underflows.  Their supports are disjoint, so the pair is
+    orthonormal at every cutoff and every alpha, and
+    ``|±alpha> = sqrt((1 + x)/2) e+ ± sqrt((1 - x)/2) e-``.
     """
-    x = math.exp(-2.0 * trunc.alpha * trunc.alpha)
-    _check_not_parallel(trunc.alpha, x)
-    u1 = coherent_fock_vector(1, trunc)
-    minus = coherent_fock_vector(-1, trunc)
-    return u1, readonly((minus - x * u1) / math.sqrt(1.0 - x * x))
+    plus = coherent_fock_vector(1, trunc).real  # entries >= 0
+    pair = np.zeros((2, plus.size))
+    pair[0, 0::2] = plus[0::2]
+    pair[1, 1::2] = plus[1::2]
+    pair /= pair.max(axis=1, keepdims=True)
+    pair /= np.linalg.norm(pair, axis=1, keepdims=True)
+    return readonly(pair.astype(complex))
 
 
 def two_mode_amplitudes(fam: CoherentFamily) -> np.ndarray:
-    """Exact, read-only 2x2 amplitude matrix of a family state in the (u1, u2) basis."""
-    x = fam.overlap_x
-    c = math.sqrt(1.0 - x * x)
-    if fam.family == 1:
-        m = np.array([[1.0 + x * x, x * c], [x * c, 1.0 - x * x]])
-        denom = math.sqrt(2.0 * (1.0 + x * x))
-    elif fam.family == 2:
-        m = np.array([[2.0 * x, c], [c, 0.0]])
-        denom = math.sqrt(2.0 * (1.0 + x * x))
-    elif fam.family == 3:  # [[y, -xc], [-xc, -y]] / sqrt(2y) for y = c^2, finite at c = 0
-        m = np.array([[c, -x], [-x, -c]])
-        denom = math.sqrt(2.0)
+    """Exact, read-only 2x2 amplitude matrix of a family state in the (e+, e-) basis.
+
+    It is the family's Schmidt form: ``diag(1 + x, ±(1 - x)) / sqrt(2 (1 + x^2))``
+    for families 1 and 2, with ``1 - x`` computed as ``-expm1(-2 alpha^2)``,
+    and ``[[0, ±1], [1, 0]] / sqrt(2)`` for families 3 and 4; the sign is
+    minus for the crossed families 2 and 4.
+    """
+    sign, crossed = _FAMILIES[fam.family]
+    cross_sign = -1.0 if crossed else 1.0
+    if sign > 0:
+        x = fam.overlap_x
+        one_minus_x = -math.expm1(-2.0 * (fam.alpha * fam.alpha))
+        m = np.diag([1.0 + x, cross_sign * one_minus_x]) / math.sqrt(2.0 * (1.0 + x * x))
     else:
-        m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        denom = math.sqrt(2.0)
-    return readonly((m / denom).astype(complex))
+        m = np.array([[0.0, cross_sign], [1.0, 0.0]]) / math.sqrt(2.0)
+    return readonly(m.astype(complex))
 
 
 def reduced_eigenvalues(fam: CoherentFamily) -> tuple[float, float]:
@@ -259,34 +257,15 @@ def coherent_violation_bound(fam: CoherentFamily) -> float:
 def fock_state(fam: CoherentFamily, trunc: FockTruncation) -> PureState:
     """Family state as a truncated two-mode Fock amplitude matrix.
 
-    Built from the truncated coherent vectors ``p = |alpha>`` and
-    ``m = |-alpha>`` as ``outer(p, a) + sign outer(m, b)``, with ``(a, b)``
-    ``(m, p)`` for a crossed family and ``(p, m)`` otherwise, over the
-    closed-form normalization ``sqrt(2 (1 + sign x^2))``; then renormalized
-    exactly.  The residual must stay below ``FOCK_NORM_ATOL`` or the cutoff
-    is deemed insufficient; a minus-sign family's is measured against
-    ``sqrt(-2 expm1(-4 alpha^2))``, as ``1 - x^2`` cancels at small alpha.  A
-    minus-sign family whose normalization vanishes, as ``|alpha>`` and
-    ``|-alpha>`` are numerically parallel, is a degeneracy error, and a
-    truncation made for another alpha is a ValueError.
+    ``E^T C E``, renormalized, with ``E`` the rows (e+, e-) of
+    :func:`parity_basis` and ``C`` the family's :func:`two_mode_amplitudes`.
+    The rows of ``E`` are orthonormal at any cutoff, so every truncation
+    gives a state; one made for another alpha is a ValueError.
     """
     if trunc.alpha != fam.alpha:
         raise ValueError(f"truncation for alpha={trunc.alpha!r} given for alpha={fam.alpha!r}")
-    sign, crossed = _FAMILIES[fam.family]
-    if sign < 0:
-        _check_not_parallel(fam.alpha, fam.overlap_x)
-    p = coherent_fock_vector(1, trunc)
-    m = coherent_fock_vector(-1, trunc)
-    a, b = (m, p) if crossed else (p, m)
-    denom = math.sqrt(2.0 * (1.0 + sign * fam.overlap_x ** 2))
-    amp = (np.outer(p, a) + sign * np.outer(m, b)) / denom
-    exact = denom if sign > 0 else math.sqrt(-2.0 * math.expm1(-4.0 * fam.alpha * fam.alpha))
-    residual = abs(float(np.linalg.norm(amp)) * (denom / exact) - 1.0)
-    if residual > FOCK_NORM_ATOL:
-        raise CapacityError(
-            f"cutoff {trunc.cutoff} distorts the family normalization by "
-            f"{residual:.3e}; increase the cutoff"
-        )
+    basis = parity_basis(trunc)
+    amp = basis.T @ two_mode_amplitudes(fam) @ basis
     return PureState(amp / np.linalg.norm(amp))
 
 

@@ -32,8 +32,6 @@ GRAM_DET_ATOL = 1e-12  #: Gram determinant above which two vectors are independe
 LHV_ZERO_ATOL = 1e-12  #: |classical bound| from which a violation ratio is defined
 VALUE_SLACK = 1e-9  #: float slack on a Bell value, per unit of max(1, sum |phi|) of the functional
 CERTIFY_ATOL = 1e-6  #: slack on a violation ratio against the lesser closed-form bound
-FOCK_NORM_ATOL = 1e-6  #: | ||amplitudes|| - 1 | a Fock truncation may leave in a family state
-PARALLEL_ATOL = 1e-14  #: 1 - |<u|v>|^2 below which two unit vectors are parallel
 
 # Path tolerances: every threshold that decides how a result is computed.
 CLOSED_FORM_RTOL = 1e-12  #: relative error of a built source operator's closed-form trace norm

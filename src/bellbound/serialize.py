@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -78,8 +79,21 @@ def json_int(obj: dict, key: str, context: str) -> int:
 
 
 def json_reals(obj: dict, key: str, context: str) -> np.ndarray:
-    """Real number or nested lists of them in a JSON object, as a float array."""
+    """Real number or nested lists of them in a JSON object, as a float array.
+
+    Every leaf must be a JSON number, not a bool, string, null or object.
+    """
     value = _require(obj, key, context)
+    lists = [[value]]  # scanned without recursion, however deep the nesting
+    while lists:
+        items = lists.pop()
+        kinds = set(map(type, items))
+        if list in kinds:
+            lists.extend(item for item in items if type(item) is list)
+        for kind in kinds - {list}:
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise ValidationError(
+                    f"{context} JSON key {key!r} must hold real numbers, got {kind.__name__}")
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -165,12 +179,20 @@ def functional_to_json(f: BellFunctional) -> dict:
     }
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``; nesting too deep to parse is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"JSON in {path} is nested too deeply to parse") from None
+
+
 def resolve_functional(spec: str) -> BellFunctional:
     """Builtin functional name or path to a functional JSON file."""
     if spec == "chsh":
         return chsh_functional()
-    with open(spec, encoding="utf-8") as fh:
-        return functional_from_json(json.load(fh))
+    return functional_from_json(read_json(spec))
 
 
 def source_operator_to_json(T: SourceOperator) -> dict:

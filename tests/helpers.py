@@ -260,10 +260,11 @@ def reference_coherent_fock_vector(sign, trunc):
 
 
 def reference_fock_state(fam, trunc):
-    """Amplitudes of ``fock_state`` as its four explicit family branches built them.
+    """Amplitudes of a family state from the outer products of ``|alpha>`` and ``|-alpha>``.
 
-    The library builds them from one ``(sign, crossed)`` table; this is the
-    branch-per-family form it replaced, kept to compare bit for bit.
+    The library builds them in the even/odd parity basis; this is the
+    branch-per-family form of the coherent vectors themselves, an independent
+    oracle to compare with entry by entry.
     """
     from bellbound import coherent_fock_vector
 

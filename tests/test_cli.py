@@ -518,22 +518,15 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "cutoff 10000000" in err
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9, 1e-300, 5e-324])
     @pytest.mark.parametrize("family", [3, 4])
-    def test_parallel_coherent_pair_is_validation_exit(self, capsys, tmp_path, family):
+    def test_small_alpha_minus_family_is_a_state(self, capsys, tmp_path, family, alpha):
+        # 1 - x^2 keeps few digits or none, but the parity basis never divides by it
         path = tmp_path / "coherent.json"
-        path.write_text(json.dumps({"type": "coherent", "family": family, "alpha": 1e-9}))
-        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "numerically parallel" in err
-
-    @pytest.mark.parametrize("family", [3, 4])
-    def test_small_alpha_minus_family_is_a_state(self, capsys, tmp_path, family):
-        # 1 - x^2 = 4e-12 keeps only 4 digits, so the cutoff is judged by -expm1(-4 alpha^2)
-        path = tmp_path / "coherent.json"
-        path.write_text(json.dumps({"type": "coherent", "family": family, "alpha": 1e-6}))
+        path.write_text(json.dumps({"type": "coherent", "family": family, "alpha": alpha}))
         code, out, err = run(capsys, ["schmidt", "--input", str(path)])
         assert code == 0 and err == ""
-        assert json.loads(out)["coefficients"] == pytest.approx([INV_ROOT2, INV_ROOT2], abs=1e-12)
+        assert json.loads(out)["coefficients"] == [0.707106781187, 0.707106781187]
 
     def test_unknown_state_type(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
@@ -558,6 +551,41 @@ class TestErrorPaths:
         code, out, err = run(capsys, [command, flag, str(path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("schmidt", '{"type": "coherent", "family": 1, "alpha": true}'),
+        ("schmidt", '{"type": "coherent", "family": 1, "alpha": "0.5"}'),
+        ("schmidt", '{"type": "coherent", "family": 1, "alpha": null}'),
+        ("schmidt", '{"type": "schmidt", "coefficients": [true]}'),
+        ("schmidt", '{"type": "schmidt", "coefficients": [1, true]}'),
+        ("schmidt", '{"type": "dense", "d1": 1, "d2": 1, "re": [[true]], "im": [[0]]}'),
+        ("schmidt", '{"type": "dense", "d1": 1, "d2": 1, "re": [[1]], "im": [[{}]]}'),
+        ("lhv", '{"s1": 1, "s2": 1, "outcomes1": [true, false], "outcomes2": [1, -1],'
+                ' "phi": [[[[1, 0], [0, 1]]]]}'),
+    ], ids=["alpha-true", "alpha-string", "alpha-null", "coefficients-true",
+            "coefficients-mixed", "re-true", "im-object", "outcomes-bools"])
+    def test_non_number_leaves_refused(self, capsys, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        flag = "--functional" if command == "lhv" else "--input"
+        code, out, err = run(capsys, [command, flag, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must hold real numbers" in err
+
+    @pytest.mark.parametrize("command", ["schmidt", "lhv"])
+    def test_deeply_nested_file_refused(self, capsys, tmp_path, command):
+        nested = "[" * 100_000 + "]" * 100_000
+        if command == "lhv":
+            flag, text = "--functional", (
+                '{"s1": 1, "s2": 1, "outcomes1": [1, -1], "outcomes2": [1, -1], '
+                f'"phi": {nested}}}')
+        else:
+            flag, text = "--input", f'{{"type": "dense", "d1": 1, "d2": 1, "re": {nested}}}'
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [command, flag, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nested too deeply" in err
 
     def test_integral_float_fields_parse(self, capsys, tmp_path):
         path = tmp_path / "input.json"

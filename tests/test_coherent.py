@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from bellbound import (
     CapacityError,
     CoherentFamily,
-    DegeneracyError,
     FockTruncation,
     bell_limit_fidelity,
     bound_curve,
@@ -20,7 +19,7 @@ from bellbound import (
     coherent_violation_bound,
     fock_state,
     fock_truncation,
-    gram_schmidt_basis,
+    parity_basis,
     reduced_eigenvalues,
     schmidt_decompose,
     schmidt_sum_bound,
@@ -161,27 +160,25 @@ class TestSmallAlpha:
     @example(alpha=1e-9, family=3)
     @example(alpha=1e-9, family=4)
     @example(alpha=1e-7, family=3)
-    def test_finite_amplitudes_or_refusal(self, alpha, family):
+    def test_every_alpha_gives_a_finite_state(self, alpha, family):
         # a RuntimeWarning is an error under the suite's filterwarnings
         fam = CoherentFamily(family, alpha)
         m = two_mode_amplitudes(fam)
         assert np.all(np.isfinite(m))
         assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-14)
-        try:
-            state = fock_state(fam, fock_truncation(alpha))
-        except DegeneracyError:
-            return
-        except CapacityError:
-            # above 5e-8, 1 - x^2 = -expm1(-4 alpha^2) judges the cutoff, not its cancelled form
-            assert alpha <= 5e-8
-            return
+        state = fock_state(fam, fock_truncation(alpha))
         assert np.all(np.isfinite(state.amplitudes))
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-300, 5e-324])
     @pytest.mark.parametrize("family", [3, 4])
-    def test_parallel_pair_is_degenerate(self, family):
-        # 1 - x^2 = 4e-18: the minus-sign normalization sqrt(2 (1 - x^2)) vanishes
-        with pytest.raises(DegeneracyError, match="parallel"):
-            fock_state(CoherentFamily(family, 1e-9), fock_truncation(1e-9))
+    def test_minus_families_tend_to_single_photon_bell_states(self, alpha, family):
+        # 1 - x^2 rounds to 0, yet e- is the odd part of |alpha> on its own: |1>
+        trunc = fock_truncation(alpha)
+        amp = fock_state(CoherentFamily(family, alpha), trunc).amplitudes
+        bell = np.zeros_like(amp)
+        bell[0, 1], bell[1, 0] = (1.0 if family == 3 else -1.0), 1.0
+        assert np.max(np.abs(amp - bell / math.sqrt(2.0))) < 1e-15
+        assert bell_limit_fidelity(family, trunc) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCoherentVectors:
@@ -213,44 +210,48 @@ class TestCoherentVectors:
                 assert np.array_equal(got, reference_coherent_fock_vector(sign, trunc)), alpha
 
 
-class TestGramSchmidtBasis:
-    def test_orthonormal(self):
-        trunc = fock_truncation(0.8)
-        u1, u2 = gram_schmidt_basis(trunc)
-        assert abs(np.vdot(u1, u1) - 1) < 1e-12
-        assert abs(np.vdot(u2, u2) - 1) < 1e-12
-        assert abs(np.vdot(u1, u2)) < 1e-12
+class TestParityBasis:
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-9, 0.8, 25.0])
+    def test_orthonormal_at_every_alpha(self, alpha):
+        even, odd = parity_basis(fock_truncation(alpha))
+        assert abs(np.vdot(even, even) - 1) < 1e-14
+        assert abs(np.vdot(odd, odd) - 1) < 1e-14
+        assert np.vdot(even, odd) == 0.0  # disjoint supports
+        assert np.all(even[1::2] == 0) and np.all(odd[0::2] == 0)
 
-    def test_second_vector_overlap(self):
+    def test_odd_vector_overlap(self):
+        # <e-|-alpha> = -sqrt((1 - x)/2)
         alpha = 0.5
         trunc = fock_truncation(alpha)
-        _, u2 = gram_schmidt_basis(trunc)
+        _, odd = parity_basis(trunc)
         minus = coherent_fock_vector(-1, trunc)
-        assert abs(np.vdot(u2, minus) - math.sqrt(1 - math.exp(-1.0))) < 1e-12
+        assert abs(np.vdot(odd, minus) + math.sqrt(-math.expm1(-0.5) / 2)) < 1e-12
 
     def test_reconstruction(self):
+        # |-alpha> = sqrt((1 + x)/2) e+ - sqrt((1 - x)/2) e-
         alpha = 1.0
         trunc = fock_truncation(alpha)
-        u1, u2 = gram_schmidt_basis(trunc)
+        even, odd = parity_basis(trunc)
         minus = coherent_fock_vector(-1, trunc)
-        rebuilt = math.exp(-2.0) * u1 + math.sqrt(1 - math.exp(-4.0)) * u2
+        x = math.exp(-2.0)
+        rebuilt = math.sqrt((1 + x) / 2) * even - math.sqrt((1 - x) / 2) * odd
         assert np.max(np.abs(rebuilt - minus)) < 1e-12
 
-    def test_degenerate_alpha(self):
-        with pytest.raises(DegeneracyError, match="parallel"):
-            gram_schmidt_basis(fock_truncation(1e-9))
+    def test_tiny_alpha_is_vacuum_and_one_photon(self):
+        even, odd = parity_basis(fock_truncation(5e-324))
+        assert even[0] == 1.0 and odd[1] == 1.0
+        assert np.count_nonzero(even) == np.count_nonzero(odd) == 1
 
 
 class TestTwoModeAmplitudes:
     def test_family4_is_singlet(self):
         for alpha in (0.2, 1.0, 2.5):
             m = two_mode_amplitudes(CoherentFamily(4, alpha))
-            assert_allclose(m, np.array([[0, 1], [-1, 0]]) / math.sqrt(2), atol=1e-15)
+            assert_allclose(m, np.array([[0, -1], [1, 0]]) / math.sqrt(2), atol=1e-15)
 
     def test_family2_large_alpha_limit(self):
         m = two_mode_amplitudes(CoherentFamily(2, 3.0))
-        assert abs(m[0, 1] - 1 / math.sqrt(2)) < 1e-7
-        assert abs(m[1, 0] - 1 / math.sqrt(2)) < 1e-7
+        assert_allclose(m, np.diag([1, -1]) / math.sqrt(2), atol=1e-7)
 
     def test_unit_frobenius_norm(self):
         for family in (1, 2, 3, 4):
@@ -259,13 +260,13 @@ class TestTwoModeAmplitudes:
                 assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_fock_space_projection(self):
-        # projecting the truncated Fock state onto the orthonormal pair must
+        # projecting the truncated Fock state onto the parity pair must
         # reproduce the closed-form 2x2 amplitudes, signs included
         for family in (1, 2, 3, 4):
             for alpha in (0.4, 1.0):
                 fam = CoherentFamily(family, alpha)
                 trunc = fock_truncation(alpha)
-                u = np.vstack(gram_schmidt_basis(trunc))
+                u = parity_basis(trunc)
                 big = fock_state(fam, trunc).amplitudes
                 projected = u.conj() @ big @ u.conj().T
                 assert_allclose(projected, two_mode_amplitudes(fam), atol=1e-9)
@@ -355,12 +356,13 @@ class TestFockState:
         assert np.max(np.abs(anti + anti.T)) < 1e-14
 
     @pytest.mark.parametrize("family", [1, 2, 3, 4])
-    def test_family_table_matches_the_four_branches(self, family):
+    def test_matches_the_coherent_vector_construction(self, family):
+        # E^T C E against the outer products of |alpha> and |-alpha>, signs included
         for alpha in np.geomspace(1e-3, 5.0, 60):
             fam = CoherentFamily(family, float(alpha))
             trunc = fock_truncation(fam.alpha)
             got = fock_state(fam, trunc).amplitudes
-            assert np.array_equal(got, reference_fock_state(fam, trunc)), alpha
+            assert np.max(np.abs(got - reference_fock_state(fam, trunc))) <= 1e-14, alpha
 
     def test_explicit_cutoff_above_cap_refused(self):
         # no truncation above the cap exists, however it is made
@@ -376,6 +378,15 @@ class TestFockState:
         with pytest.raises(ValueError, match="truncation for alpha=1.0 given for alpha=2.0"):
             fock_state(CoherentFamily(1, 2.0), fock_truncation(1.0))
 
+    def test_loose_tolerance_cutoff_gives_a_state(self):
+        # cutoff 17 leaves tail mass 5.3e-3; the truncation alone judges it
+        trunc = fock_truncation(3.0, tail_tol=1e-2)
+        assert trunc.cutoff == 17
+        st = fock_state(CoherentFamily(1, 3.0), trunc)
+        assert st.d1 == 18
+        assert_allclose(schmidt_decompose(st).coefficients ** 2,
+                        reduced_eigenvalues(CoherentFamily(1, 3.0)), atol=1e-15)
+
     def test_tail_below_the_rounding_of_the_norm(self):
         # cutoff 17 leaves tail mass 6.1e-17, below the 2.2e-16 rounding of 1/||v|| - 1
         st = fock_state(CoherentFamily(1, 1.0), fock_truncation(1.0, tail_tol=1e-16))
@@ -383,12 +394,15 @@ class TestFockState:
 
     def test_large_alpha_deck_yields_states(self):
         # 400 alpha uniform in [8, 28.25]: each cutoff leaves tail mass below 1e-14,
-        # however far the running product's rounding moves 1/||v|| from 1
+        # however far the running product's rounding moves 1/||v|| from 1; each
+        # state matches the coherent-vector construction
         for alpha in np.random.default_rng(281).uniform(8.0, 28.25, 400):
             trunc = fock_truncation(float(alpha))
             for family in (1, 2, 3, 4):
-                st = fock_state(CoherentFamily(family, trunc.alpha), trunc)
+                fam = CoherentFamily(family, trunc.alpha)
+                st = fock_state(fam, trunc)
                 assert st.d1 == trunc.cutoff + 1
+                assert np.max(np.abs(st.amplitudes - reference_fock_state(fam, trunc))) <= 1e-14
 
 
 class TestBellLimitFidelity:

@@ -24,8 +24,8 @@ from bellbound import (
     chsh_functional,
     coherent_fock_vector,
     fock_truncation,
-    gram_schmidt_basis,
     max_tensor_dim,
+    parity_basis,
     schmidt_decompose,
     schmidt_sum_squared,
     seesaw_maximize,
@@ -774,7 +774,7 @@ def _dense_trace_norm(m):
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-class TestLumpingGuard:
+class TestDensePathEdgeCases:
     """Matrices with repeated rows and edge-case entries, which take the dense path."""
 
     def test_rows_repeat_but_columns_do_not(self):
@@ -866,7 +866,7 @@ class TestGatheredTag:
             op.matrix.schmidt = source_op._Schmidt((1.0,), 1)
         assert trace_norm(op.matrix) == norm == pytest.approx(math.sqrt(3.0), rel=1e-13)
 
-    def test_non_refining_fingerprint_falls_back(self):
+    def test_copies_of_a_product_state_operator_take_the_dense_path(self):
         # |00>: 30 builder classes at (3, 3), but all rows save one are zero;
         # the built matrix takes the closed form, its copies the dense path
         product = PureState(np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
@@ -901,8 +901,8 @@ _HELD_ARRAYS = {
     "seesaw_maximize.site2": lambda: seesaw_maximize(chsh_functional(), BELL, restarts=1)[1].site2[1],
     "two_mode_amplitudes": lambda: two_mode_amplitudes(CoherentFamily(3, 0.5)),
     "coherent_fock_vector": lambda: coherent_fock_vector(-1, fock_truncation(0.5)),
-    "gram_schmidt_basis.u1": lambda: gram_schmidt_basis(fock_truncation(0.5))[0],
-    "gram_schmidt_basis.u2": lambda: gram_schmidt_basis(fock_truncation(0.5))[1],
+    "parity_basis.even": lambda: parity_basis(fock_truncation(0.5))[0],
+    "parity_basis.odd": lambda: parity_basis(fock_truncation(0.5))[1],
     "SourceOperator.caller_matrix": lambda: SourceOperator(
         s1=1, s2=1, d1=2, d2=2, matrix=np.eye(4, dtype=complex) / 4).matrix,
     "SourceOperator.caller_core": lambda: SourceOperator(
