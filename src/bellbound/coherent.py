@@ -226,14 +226,17 @@ def two_mode_amplitudes(fam: CoherentFamily) -> np.ndarray:
 def reduced_eigenvalues(fam: CoherentFamily) -> tuple[float, float]:
     """Closed-form eigenvalue pair of either reduced state, summing to 1.
 
-    Families 1 and 2: (1 ± x)^2 / (2 (1 + x^2)) with x = exp(-2 alpha^2);
-    families 3 and 4: exactly (1/2, 1/2).
+    Families 1 and 2: (1 ± x)^2 / (2 (1 + x^2)) with x = exp(-2 alpha^2) and
+    ``1 - x`` computed as ``-expm1(-2 alpha^2)``, so the smaller one keeps
+    its relative precision as alpha shrinks; families 3 and 4: exactly
+    (1/2, 1/2).
     """
     if _FAMILIES[fam.family][0] < 0:
         return (0.5, 0.5)
     x = fam.overlap_x
+    one_minus_x = -math.expm1(-2.0 * (fam.alpha * fam.alpha))
     denom = 2.0 * (1.0 + x * x)
-    return ((1.0 + x) ** 2 / denom, (1.0 - x) ** 2 / denom)
+    return ((1.0 + x) ** 2 / denom, one_minus_x**2 / denom)
 
 
 def _violation_bound(family: int, x):

@@ -36,7 +36,6 @@ CERTIFY_ATOL = 1e-6  #: slack on a violation ratio against the lesser closed-for
 # Path tolerances: every threshold that decides how a result is computed.
 CLOSED_FORM_RTOL = 1e-12  #: relative error of a built source operator's closed-form trace norm
 PIVOT_ATOL = 1e-12  #: smallest |entry| of a Schmidt vector that fixes its phase
-ZERO_NORM_ATOL = 1e-12  #: operator norm below which a sampled observable is zero (and made I)
 
 #: Singular values at or below this are discarded as numerical zeros.
 DEFAULT_TRUNCATION_TOL = 1e-12
@@ -213,7 +212,8 @@ class PureState:
             )
         if not np.all(np.isfinite(arr.view(float))):
             raise ValidationError("amplitudes contain non-finite entries")
-        deficit = abs(float(np.sum(np.abs(arr) ** 2)) - 1.0)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below as inf
+            deficit = abs(float(np.sum(np.abs(arr) ** 2)) - 1.0)
         if deficit > NORM_ATOL:
             raise ValidationError(
                 "state is not normalized: squared Frobenius norm deviates "

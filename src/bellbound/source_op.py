@@ -14,6 +14,13 @@ and the symmetric subspace's embedding are isometries: the built matrix
 carries them, and :func:`trace_norm` of it is one real eigenproblem of at
 most ``r + r(r-1)s`` rows (:func:`_schmidt_trace_norm`).  Any other matrix
 takes one dense ``eigvalsh``.
+
+:func:`verify_dilation` bounds how far an operator is from a dilation of
+the state over every pair of unit-norm observables at once: by Hölder's
+inequality a two-copy marginal ``M`` gives each pair's correlation to within
+``||M - rho||_1 <= sqrt(d1 d2) ||M - rho||_F``, so it returns the largest
+right-hand side, with no random draw.  Its ``n_samples`` and ``seed``
+keywords, from an earlier sampled check, are accepted and have no effect.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .qstate import (CLOSED_FORM_RTOL, HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, ZERO_NORM_ATOL,
-                     PureState, SchmidtData, _HERM_BLOCK, _asymmetry, check_hermitian, count,
-                     readonly)
+from .qstate import (CLOSED_FORM_RTOL, HERM_ATOL_SOURCE, HERM_ATOL_TRACE_NORM, PureState,
+                     SchmidtData, _HERM_BLOCK, _asymmetry, check_hermitian, count, readonly)
 
 #: Default cap on the total dimension d1^s1 * d2^s2 of a source operator.
 DEFAULT_MAX_DIM = 4096
@@ -355,128 +361,57 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-#: Matrix entries of one site pair times the samples drawn in one chunk by
-#: :func:`_unit_hermitian_pairs`; bounds its arrays for any sample count.
-_DRAW_ENTRIES = 4096
-
-#: Most observable entries ``n_samples * (d1^2 + d2^2)`` that :func:`verify_dilation`
-#: draws; past it the request is a capacity error, raised before any draw.  It
-#: admits the default 20 samples at every ``(d1, d2)`` the default size guard
-#: admits, up to ``(4096, 1)``.  At the cap a 2 x 2 state's check draws 41.9M
-#: pairs in 94 s, an 8 x 8 state's 2.6M pairs in 56 s (in process, 2-vCPU host).
-MAX_DILATION_ENTRIES = 20 * (DEFAULT_MAX_DIM**2 + 1)
-
-
-def _unit_hermitian(parts: np.ndarray) -> np.ndarray:
-    """Unit-operator-norm ``(g + g^H) / 2`` per ``(re, im)`` pair of an ``(n, 2, d, d)`` stack.
-
-    ``g = re + 1j*im``; a ``g`` whose Hermitian part is numerically zero gives
-    the identity.
-    """
-    d = parts.shape[-1]
-    g = parts[:, 0] + 1j * parts[:, 1]
-    h = (g + g.conj().swapaxes(-1, -2)) / 2.0
-    scale = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    small = scale < ZERO_NORM_ATOL  # probability zero; keep the check total
-    h[small] = np.eye(d)
-    scale[small] = 1.0
-    return h / scale[:, None, None]
-
-
-def _unit_hermitian_pairs(rng: np.random.Generator, d1: int, d2: int, n_samples: int):
-    """GUE-style observable pairs ``(x1, x2)``, yielded as stacks one chunk at a time.
-
-    Each chunk is one ``standard_normal`` call, split per sample into the
-    real and imaginary parts of ``x1``, then of ``x2``: the order in which
-    drawing each ``d x d`` part on its own consumes the stream.  So the pairs
-    are those of drawing sample by sample, bit for bit, whatever the chunk.
-    """
-    split = 2 * d1 * d1
-    chunk = max(1, _DRAW_ENTRIES // (d1 * d1 + d2 * d2))
-    for start in range(0, n_samples, chunk):
-        raw = rng.standard_normal((min(chunk, n_samples - start), split + 2 * d2 * d2))
-        yield (_unit_hermitian(raw[:, :split].reshape(-1, 2, d1, d1)),
-               _unit_hermitian(raw[:, split:].reshape(-1, 2, d2, d2)))
-
-
-@lru_cache(maxsize=64)
-def _seeded_pairs(d1: int, d2: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one chunk of :func:`_unit_hermitian_pairs` drawn from ``default_rng(seed)``, read-only.
-
-    The pairs depend on nothing else, so they are drawn once per key.  Only
-    a non-negative ``int`` seed whose draws fit in ``_DRAW_ENTRIES`` matrix
-    entries comes here (:func:`verify_dilation`), so the cache holds at most
-    64 x 64 KB.
-    """
-    (x1, x2), = _unit_hermitian_pairs(np.random.default_rng(seed), d1, d2, n_samples)
-    return readonly(x1), readonly(x2)
-
-
 def _two_copy_marginals(T: SourceOperator) -> np.ndarray:
-    """Two-copy marginals of a source operator, one per slot pair.
+    """The distinct two-copy marginals of a source operator, a fresh ``(P, d1, d2, d1, d2)`` array.
 
-    Entry ``p = slot1 * s2 + slot2`` is the partial trace of ``T`` over every
-    copy except copy ``slot1`` of site 1 and copy ``slot2`` of site 2, with
-    axes ``(d1, d2, d1, d2)``: one einsum over a view of ``T`` whose traced
-    copies before, between and after the kept two are merged into three axes.
-    A built operator (``classes`` not None) is exactly copy-symmetric, so its
-    last slot pair's marginal, the cheapest to take, stands for every pair.
+    Marginal ``p = slot1 * s2 + slot2`` is the partial trace of ``T`` over
+    every copy except copy ``slot1`` of site 1 and copy ``slot2`` of site 2:
+    one einsum over a view of ``T`` whose traced copies before, between and
+    after the kept two are merged into three axes.  A caller's matrix has
+    ``P = s1 * s2`` of them.  A built operator (``classes`` not None) is
+    exactly copy-symmetric, so its last slot pair's marginal, the cheapest to
+    take, stands for every pair and ``P = 1``.
     """
     pairs = ([(T.s1 - 1, T.s2 - 1)] if T.classes is not None
              else [(slot1, slot2) for slot1 in range(T.s1) for slot2 in range(T.s2)])
-    out = []
-    for slot1, slot2 in pairs:
+    out = np.empty((len(pairs), T.d1, T.d2, T.d1, T.d2), dtype=complex)
+    for p, (slot1, slot2) in enumerate(pairs):
         between = T.d1 ** (T.s1 - 1 - slot1) * T.d2**slot2
         shape = (T.d1**slot1, T.d1, between, T.d2, T.d2 ** (T.s2 - 1 - slot2))
-        out.append(np.einsum("paqbrpcqer->abce", T.matrix.reshape(shape * 2)))
-    return np.broadcast_to(np.stack(out), (T.s1 * T.s2,) + out[0].shape)
+        np.einsum("paqbrpcqer->abce", T.matrix.reshape(shape * 2), out=out[p])
+    return out
 
 
 def verify_dilation(
     T: SourceOperator, state: PureState, n_samples: int = 20, seed: int = 0
 ) -> float:
-    """Worst-case dilation residual of a source operator for a state.
+    """Bound on the dilation residual of a source operator for a state, over every observable pair.
 
-    Draws ``n_samples`` pairs of unit-operator-norm Hermitian observables
-    (GUE-style) and, for every pair of copy slots, compares the source
-    expectation tr[T (X1 on one copy) (x) (X2 on one copy)] against the state
-    expectation <psi| X1 (x) X2 |psi>.  Returns the largest absolute
-    difference; the construction makes this float noise.
+    ``T`` dilates the state when, on any copy ``slot1`` of site 1 and any
+    copy ``slot2`` of site 2, it gives every pair of observables the state's
+    correlation.  ``tr[T (X1 on slot1) (x) (X2 on slot2)]`` only sees the
+    two-copy marginal ``M_p`` of that slot pair (:func:`_two_copy_marginals`),
+    so the residual of one pair is ``|tr[(M_p - rho)(X1 (x) X2)]|`` with
+    ``rho = |psi><psi|``.  For ``||X1||, ||X2|| <= 1`` Hölder's inequality
+    bounds it by ``||M_p - rho||_1``, and a matrix of ``n = d1 d2`` rows has
+    ``||A||_1 <= sqrt(n) ||A||_F``.  So this returns
 
-    The source expectation only sees the two-copy marginal of ``T`` on the
-    slot pair (:func:`_two_copy_marginals`).  The pairs are drawn and
-    evaluated on those ``d1*d2``-dimensional matrices a chunk at a time
-    (:func:`_unit_hermitian_pairs`): one stacked ``eigvalsh`` per site and
-    one contraction each for the state and the source expectations.  The
-    pairs depend only on ``(d1, d2, n_samples, seed)``: for a non-negative
-    ``int`` seed and one chunk of draws they are drawn once and reused
-    (:func:`_seeded_pairs`); any other seed (a ``Generator``, a
-    ``SeedSequence``, a list) or a larger request streams chunk by chunk.
-    More than ``MAX_DILATION_ENTRIES`` drawn entries is a capacity error.
+        sqrt(d1 d2) * max_p ||M_p - rho||_F,
+
+    never below the residual of any observable pair, slot pair included; the
+    construction makes it float noise.  No eigenproblem and no random draw.
+
+    ``n_samples`` and ``seed`` are accepted and have no effect: they sized
+    and seeded the random observable pairs of an earlier, sampled check, and
+    remain so that calls written for it still run.
     """
-    n_samples = count("n_samples", n_samples)
     if (T.d1, T.d2) != (state.d1, state.d2):
         raise ValueError(
             f"dimension mismatch: source operator has (d1, d2) = ({T.d1}, {T.d2}), "
             f"state has ({state.d1}, {state.d2})"
         )
-    entries = n_samples * (T.d1**2 + T.d2**2)
-    if entries > MAX_DILATION_ENTRIES:
-        raise CapacityError(
-            f"{n_samples} observable pairs draw {entries} matrix entries, above the "
-            f"cap of {MAX_DILATION_ENTRIES}; reduce the samples"
-        )
-    amp = state.amplitudes
-    marginals = _two_copy_marginals(T)
-    if type(seed) is int and seed >= 0 and entries <= _DRAW_ENTRIES:
-        chunks = [_seeded_pairs(T.d1, T.d2, n_samples, seed)]
-    else:
-        chunks = _unit_hermitian_pairs(np.random.default_rng(seed), T.d1, T.d2, n_samples)
-    worst = 0.0
-    for x1, x2 in chunks:
-        # <psi| X1 (x) X2 |psi> = sum_al conj(A)_al (X1 A X2^T)_al
-        want = np.einsum("nal,al->n", x1 @ amp @ x2.swapaxes(-1, -2), amp.conj())
-        # sum_abcd M_p[a,b,c,d] X1[c,a] X2[d,b]: contract site 1 by one product
-        got = np.einsum("pbdn,ndb->np", np.tensordot(marginals, x1, ([1, 3], [2, 1])), x2)
-        worst = max(worst, float(np.max(np.abs(got - want[:, None]))))
-    return worst
+    psi = state.vector()
+    n = psi.size
+    diff = _two_copy_marginals(T).reshape(-1, n, n)
+    diff -= np.outer(psi, psi.conj())
+    return math.sqrt(n) * float(np.max(np.linalg.norm(diff, axis=(-2, -1))))

@@ -223,26 +223,6 @@ def reference_assemblage(site1, site2):
     return tuple(frozen)
 
 
-def reference_dilation_residual(op, state, n_samples, seed):
-    """``verify_dilation`` drawing its observable pairs afresh on every call.
-
-    The loop of the library before it reused the pairs of an ``int`` seed:
-    one new ``default_rng(seed)`` a call, streamed chunk by chunk, and the
-    same contractions, so residuals compare bit for bit.
-    """
-    from bellbound import source_op
-
-    amp = state.amplitudes
-    marginals = source_op._two_copy_marginals(op)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for x1, x2 in source_op._unit_hermitian_pairs(rng, op.d1, op.d2, n_samples):
-        want = np.einsum("nal,al->n", x1 @ amp @ x2.swapaxes(-1, -2), amp.conj())
-        got = np.einsum("pbdn,ndb->np", np.tensordot(marginals, x1, ([1, 3], [2, 1])), x2)
-        worst = max(worst, float(np.max(np.abs(got - want[:, None]))))
-    return worst
-
-
 def reference_coherent_fock_vector(sign, trunc):
     """``coherent_fock_vector`` written out entry by entry.
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bellbound.coherent import MAX_CURVE_STEPS
 from bellbound.serialize import functional_to_json, state_from_json
 from helpers import separable_functional
 
+GOLDEN = Path(__file__).parent / "golden"
 ROOT2 = math.sqrt(2)
 INV_ROOT2 = 1 / ROOT2
 
@@ -65,6 +67,13 @@ class TestSchmidtCommand:
         assert report["sum_squared"] == pytest.approx(2.0, abs=1e-11)
         assert (report["d1"], report["d2"]) == (2, 2)
         assert "seed" in report and "truncation_tol" in report
+
+    def test_overflowing_norm_exits_2_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "schmidt", "coefficients": [1e200, 1e200]}))
+        code, out, err = run(capsys, ["schmidt", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: state is not normalized") and "Warning" not in err
 
     def test_twelve_digit_format(self, capsys, bell_file):
         _, out, _ = run(capsys, ["schmidt", "--input", bell_file])
@@ -163,10 +172,39 @@ class TestSourceOpCommand:
         assert report["schmidt_sum_bound"] == pytest.approx(3.0)
         assert report["bound_slack"] > 0
         assert report["dilation_residual"] < 1e-9
-        assert report["samples"] == 20
+        assert "samples" not in report
         op = source_operator_from_json(json.loads(export.read_text()))
         assert op.matrix.shape == (8, 8)
         assert np.trace(op.matrix).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_golden_state_check(self, capsys):
+        code, out, err = run(capsys, [
+            "source-op", "--input", str(GOLDEN / "phi_plus.json"), "--s2", "2", "--check",
+        ])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["dilation_residual"] <= 1e-13
+        assert "samples" not in report
+
+    def test_check_ignores_seed(self, capsys):
+        reports = []
+        for seed in ("0", "7"):
+            code, out, _ = run(capsys, [
+                "source-op", "--input", str(GOLDEN / "dense_3x3.json"), "--s1", "2",
+                "--check", "--seed", seed,
+            ])
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["dilation_residual"] == reports[1]["dilation_residual"]
+        assert [r.pop("seed") for r in reports] == [0, 7]
+        assert reports[0] == reports[1]
+
+    def test_samples_flag_is_unknown(self, capsys, bell_file):
+        code, out, err = run(capsys, [
+            "source-op", "--input", bell_file, "--s2", "2", "--check", "--samples", "2",
+        ])
+        assert code == 1 and out == ""
+        assert "--samples" in err
 
     def test_site1_copies(self, capsys, bell_file):
         _, out, _ = run(capsys, ["source-op", "--input", bell_file, "--s1", "3"])
@@ -185,15 +223,6 @@ class TestSourceOpCommand:
         code, _, err = run(capsys, ["source-op", "--input", bell_file, "--s2", "12"])
         assert code == 3
         assert "size guard" in err
-
-    def test_check_samples_capped(self, capsys, bell_file):
-        # 10^9 pairs would stream for most of an hour; the cap refuses them before any draw
-        start = time.perf_counter()
-        code, out, err = run(capsys, ["source-op", "--input", bell_file, "--s2", "2",
-                                      "--check", "--samples", "1000000000"])
-        assert time.perf_counter() - start < 1.0
-        assert code == 3 and out == ""
-        assert err.startswith("error:") and "cap of" in err
 
     @pytest.mark.parametrize("s2", ["2000", "100000", "10000000"])
     def test_size_guard_forms_no_power(self, capsys, tmp_path, s2):
@@ -219,6 +248,12 @@ class TestCoherentCommands:
         assert report["bound"] == pytest.approx((3 - x * x) / (1 + x * x), abs=1e-9)
         assert report["cutoff"] == 16
         assert report["tail_bound"] < 1e-14
+
+    def test_tiny_alpha_eigenvalue(self, capsys):
+        # 1 - exp(-2 alpha^2) would print 1.00000016568e-20
+        code, out, _ = run(capsys, ["coherent", "--family", "1", "--alpha", "1e-5"])
+        assert code == 0
+        assert json.loads(out)["eigenvalues"][1] == pytest.approx(1e-20, rel=1e-11, abs=0.0)
 
     def test_curve_csv(self, capsys):
         code, out, _ = run(capsys, [

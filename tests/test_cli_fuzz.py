@@ -116,7 +116,7 @@ def test_cli_survives_random_files(state, functional):
         for argv in (
             ["schmidt", "--input", s],
             ["bound", "--input", s, "--s1", "2", "--s2", "2"],
-            ["source-op", "--input", s, "--s2", copies, "--check", "--samples", "2"],
+            ["source-op", "--input", s, "--s2", copies, "--check"],
             ["lhv", "--functional", f],
             ["violate", "--functional", f, "--input", s, "--restarts", "1", "--iters", "5"],
         ):

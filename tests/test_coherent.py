@@ -292,6 +292,16 @@ class TestReducedEigenvalues:
                 lam = reduced_eigenvalues(CoherentFamily(family, alpha))
                 assert lam[0] + lam[1] == pytest.approx(1.0, abs=1e-14)
 
+    def test_squared_schmidt_coefficients_at_every_scale(self):
+        # 1 - x as -expm1(-2 alpha^2): 1 - exp(-2e-10) would lose 7 digits of the smaller one
+        for family in (1, 2):
+            for alpha in np.geomspace(1e-9, 5.0, 81):
+                fam = CoherentFamily(family, float(alpha))
+                squares = np.abs(np.diagonal(two_mode_amplitudes(fam))) ** 2
+                assert_allclose(reduced_eigenvalues(fam), squares, rtol=1e-15, atol=0.0)
+        assert reduced_eigenvalues(CoherentFamily(1, 1e-5))[1] == pytest.approx(1e-20, rel=1e-9,
+                                                                                  abs=0.0)
+
     def test_large_alpha_balances(self):
         lam = reduced_eigenvalues(CoherentFamily(2, 3.0))
         assert_allclose(lam, (0.5, 0.5), atol=1e-7)

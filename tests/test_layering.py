@@ -2,8 +2,9 @@
 
 The domain modules know no JSON format and no command line.  Reading and
 writing JSON lives in ``bellbound.serialize`` and the commands in
-``bellbound.cli``; both import the domain modules, never the reverse.  And
-only ``qstate.readonly`` sets an array's flags.
+``bellbound.cli``; both import the domain modules, never the reverse.  Only
+``qstate.readonly`` sets an array's flags, and only ``bell.seesaw_maximize``
+draws random numbers.
 """
 
 import ast
@@ -45,8 +46,8 @@ def test_every_import_form_is_seen():
     assert _io_imports("from .qstate import cli_name\nimport numpy") == set()
 
 
-def _setflags_calls(source: str) -> list:
-    """The enclosing function of every ``setflags`` call in a module's source."""
+def _scopes(source: str, hit) -> list:
+    """The enclosing function or class of every AST node of a module's source that ``hit`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -54,13 +55,32 @@ def _setflags_calls(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "setflags"):
+            if hit(child):
                 found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _setflags_calls(source: str) -> list:
+    """The enclosing function of every ``setflags`` call in a module's source."""
+    return _scopes(source, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags")
+
+
+def _is_random(node) -> bool:
+    """An ``x.random`` or ``default_rng`` reference, or an import of a random module."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("random", "default_rng")
+    if isinstance(node, ast.Name):
+        return node.id == "default_rng"
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+        return any({"random", "default_rng"} & set(name.split(".")) for name in names)
+    return False
 
 
 def test_only_readonly_sets_flags():
@@ -74,3 +94,21 @@ def test_every_setflags_form_is_seen():
               "class C:\n    def f(self):\n        np.ndarray.setflags(self.m, False)\n"
               "def g():\n    def h():\n        x = [m.setflags(write=0) for m in ms]\n")
     assert _setflags_calls(source) == ["", "C.f", "g.h"]
+
+
+def test_only_the_seesaw_draws_random_numbers():
+    # every other result is a bound or an exact value, never a random sample
+    draws = {module.stem: set(_scopes(module.read_text(encoding="utf-8"), _is_random))
+             for module in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in draws.items() if found} == {"bell": {"seesaw_maximize"}}
+
+
+def test_every_random_form_is_seen():
+    source = ("import random\n"
+              "def f():\n    return np.random.standard_normal(3)\n"
+              "class C:\n    def g(self):\n        from numpy.random import default_rng\n"
+              "def h():\n    from numpy import random as r\n"
+              "def k(seed):\n    return default_rng(seed)\n"
+              "def m():\n    import numpy.random\n")
+    assert _scopes(source, _is_random) == ["", "f", "C.g", "h", "k", "m"]
+    assert _scopes("import numpy as np\nrandomness = np.linalg.norm(a)\n", _is_random) == []

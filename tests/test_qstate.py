@@ -39,6 +39,17 @@ class TestPureState:
         with pytest.raises(ValidationError, match="deviates from 1 by"):
             PureState(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [1e200, 1.5e154], ids=["square", "sum"])
+    def test_overflowing_norm_is_a_validation_error(self, entry):
+        # with warnings as errors, numpy's overflow warning would replace the error
+        with pytest.raises(ValidationError, match="deviates from 1 by inf"):
+            PureState(np.full((2, 2), entry))
+
+    def test_overflowing_norm_under_raising_errstate(self):
+        # a caller's np.seterr(all="raise") does not turn the error into a FloatingPointError
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="by inf"):
+            PureState(np.full((2, 2), 1e200))
+
     def test_rejects_non_matrix(self):
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 0.0]))
@@ -344,8 +355,6 @@ _REFUSED = {
     "build_source_sx1.s1=0": lambda sd: bellbound.build_source_sx1(sd, 0),
     "SourceOperator.d1=True": lambda sd: SourceOperator(
         s1=1, s2=1, d1=True, d2=4, matrix=np.eye(4) / 4),
-    "verify_dilation.n_samples=2.5": lambda sd: bellbound.verify_dilation(
-        bellbound.build_source_1xs(sd, 1), BELL, n_samples=2.5),
     "seesaw_maximize.restarts=1.5": lambda sd: bellbound.seesaw_maximize(
         bellbound.chsh_functional(), BELL, restarts=1.5),
     "seesaw_maximize.max_iters=True": lambda sd: bellbound.seesaw_maximize(

@@ -38,7 +38,7 @@ from bellbound import (
 from bellbound import qstate, source_op
 from bellbound.qstate import _HERM_BLOCK
 from bellbound.source_op import DEFAULT_MAX_DIM, SourceOperator
-from helpers import count_lapack, random_pure_state, reference_dilation_residual, w_block
+from helpers import count_lapack, random_pure_state, w_block
 
 BELL = PureState(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
 
@@ -129,7 +129,7 @@ def _embed_per_slot_residual(op, state, n_samples, seed):
 
 
 def _random_unit_hermitian(rng, d):
-    """One observable as the dilation check draws it, one sample at a time."""
+    """One GUE-style observable of unit operator norm (the identity for a zero draw)."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2.0
     scale = float(np.max(np.abs(np.linalg.eigvalsh(h))))
@@ -151,6 +151,23 @@ def _per_sample_residual(op, state, n_samples, seed):
         got = np.einsum("pabcd,ca,db->p", marginals, x1, x2)
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
+
+
+def _hermitian_basis(d):
+    """The d^2 Hermitian d x d matrices orthonormal under tr(A B); each has norm <= 1."""
+    basis = []
+    for a in range(d):
+        for b in range(a, d):
+            if a == b:
+                basis.append(np.zeros((d, d), dtype=complex))
+                basis[-1][a, a] = 1.0
+                continue
+            for re, im in ((1.0, 0.0), (0.0, 1.0)):
+                x = np.zeros((d, d), dtype=complex)
+                x[a, b] = complex(re, -im) / math.sqrt(2)
+                x[b, a] = complex(re, im) / math.sqrt(2)
+                basis.append(x)
+    return basis
 
 
 def _record_eigvalsh_sizes(monkeypatch):
@@ -328,135 +345,107 @@ class TestVerifyDilation:
         with pytest.raises(ValueError, match="match"):
             verify_dilation(op, other)
 
-    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 1)])
-    def test_batched_draws_match_sequential(self, d1, d2):
-        n = source_op._DRAW_ENTRIES // (d1 * d1 + d2 * d2) + 1  # one chunk plus one
-        chunks = list(source_op._unit_hermitian_pairs(np.random.default_rng(11), d1, d2, n))
-        assert [len(x1) for x1, _ in chunks] == [n - 1, 1]
-        x1 = np.concatenate([x for x, _ in chunks])
-        x2 = np.concatenate([x for _, x in chunks])
-        rng = np.random.default_rng(11)
-        for i in range(n):
-            assert np.array_equal(x1[i], _random_unit_hermitian(rng, d1))
-            assert np.array_equal(x2[i], _random_unit_hermitian(rng, d2))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bound_covers_every_observable_pair(self, data):
+        # sampled residuals <= max_p ||M_p - rho||_1 <= the bound <= sqrt(d1 d2) max_p ||M_p - rho||_1
+        d1 = data.draw(st.integers(1, 4), label="d1")
+        d2 = data.draw(st.integers(1, 4), label="d2")
+        s = data.draw(st.integers(1, 3), label="s")
+        build = data.draw(st.sampled_from([build_source_1xs, build_source_sx1]), label="builder")
+        form = data.draw(st.sampled_from(["built", "caller", "perturbed"]), label="form")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        state = random_pure_state(rng, d1, d2)
+        op = build(schmidt_decompose(state), s)
+        if form != "built":
+            m = op.matrix.copy()
+            if form == "perturbed":  # Hermitian and traceless, so still a valid operator
+                n = len(m)
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                g = 1e-3 * (g + g.conj().T)
+                m += g - np.trace(g) / n * np.eye(n)
+            op = SourceOperator(s1=op.s1, s2=op.s2, d1=d1, d2=d2, matrix=m)
+        psi = state.vector()
+        rho = np.outer(psi, psi.conj())
+        holder = max(float(np.sum(np.abs(np.linalg.eigvalsh(_marginal(op, i, j) - rho))))
+                     for i in range(op.s1) for j in range(op.s2))
+        bound = verify_dilation(op, state)
+        for sampled in (_embed_per_slot_residual(op, state, n_samples=3, seed=seed),
+                        _per_sample_residual(op, state, n_samples=20, seed=seed)):
+            assert sampled <= holder + 1e-14
+        # equal up to rounding where d1 d2 = 2: a traceless 2 x 2 difference
+        # has ||A||_1 = sqrt(2) ||A||_F
+        assert holder <= bound * (1.0 + 1e-12)
+        assert bound <= math.sqrt(d1 * d2) * holder + 1e-15
 
-    def test_zero_draw_becomes_identity(self):
-        parts = np.zeros((2, 2, 2, 2))
-        parts[1, 0] = np.diag([1.0, -2.0])
-        x = source_op._unit_hermitian(parts)
-        assert np.array_equal(x, [np.eye(2), np.diag([0.5, -1.0])])
+    def test_sampling_keywords_have_no_effect(self):
+        op = build_source_1xs(schmidt_decompose(BELL), 2)
+        want = verify_dilation(op, BELL)
+        for n_samples, seed in ((1, 5), (2.5, None), (0, np.random.default_rng(3))):
+            assert verify_dilation(op, BELL, n_samples=n_samples, seed=seed) == want
 
+    def test_small_corruption_is_seen(self):
+        # one core entry and its mirror off by 1e-9, in a caller's matrix and in a built core;
+        # rows 0 and 3 of the matrix differ in the first copy of site 2 alone, so only
+        # the first slot pair's marginal sees that entry
+        st = random_pure_state(np.random.default_rng(83), 3, 3)
+        op = build_source_1xs(schmidt_decompose(st), 2)
+        assert verify_dilation(op, st) < 1e-13
+        for core, classes, j in ((op.matrix, None, 3), (op.core, op.classes, 1)):
+            bad = core.copy()
+            bad[0, j] += 1e-9
+            bad[j, 0] += 1e-9
+            matrix = bad if classes is None else source_op._Core(bad, classes)
+            corrupted = SourceOperator(s1=1, s2=2, d1=3, d2=3, matrix=matrix)
+            assert verify_dilation(corrupted, st) > 1e-10
 
-def _count_draws(monkeypatch):
-    """Record the arguments of every ``standard_normal`` of a new ``default_rng``."""
-    draws = []
-    make_rng = np.random.default_rng
-
-    class Counting:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def standard_normal(self, *args, **kwargs):
-            draws.append(args)
-            return self._rng.standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(make_rng(seed)))
-    return draws
-
-
-class TestSeededPairs:
-    """An int seed's observable pairs are drawn once per (d1, d2, n_samples, seed)."""
-
-    # every sourceop-ladder dimension (perfbench/workloads.py), then d1 != d2
-    DIMS = ((2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 3), (3, 2), (4, 1), (1, 5))
-
-    @staticmethod
-    def _one_chunk(d1, d2):
-        return source_op._DRAW_ENTRIES // (d1 * d1 + d2 * d2)
-
-    def _cases(self):
-        rng = np.random.default_rng(71)
-        cases = []
-        for i, (d1, d2) in enumerate(self.DIMS):
-            st = random_pure_state(rng, d1, d2)
-            build = build_source_1xs if i % 2 == 0 else build_source_sx1
-            cases.append((st, build(schmidt_decompose(st), 2)))
-        return cases
-
-    def test_reuse_is_bit_identical(self):
-        source_op._seeded_pairs.cache_clear()
-        cases = self._cases()
-        for seed in (0, 1, 2**40):
-            for _ in range(2):  # the second pass reads the cache
-                # sizes interleaved: a key that left out a field would collide
-                for extra in (None, 0, 1):
-                    for st, op in cases:
-                        n = 5 if extra is None else self._one_chunk(op.d1, op.d2) + extra
-                        got = verify_dilation(op, st, n_samples=n, seed=seed)
-                        assert got == reference_dilation_residual(op, st, n, seed), (op.d1, op.d2)
-        info = source_op._seeded_pairs.cache_info()
-        # two cached sizes per dimension pair and seed; one chunk plus one streams
-        assert info.currsize == 2 * len(cases) * 3
-        assert info.hits == info.currsize
-
-    @pytest.mark.parametrize("make_seed", [
-        lambda: np.random.SeedSequence(5),
-        lambda: np.random.default_rng(5),
-        lambda: [1, 2],
-        lambda: np.int64(3),
-    ], ids=["SeedSequence", "Generator", "list", "int64"])
-    def test_other_seeds_stream(self, make_seed):
-        st, op = self._cases()[5]
-        source_op._seeded_pairs.cache_clear()
-        seed, ref_seed = make_seed(), make_seed()
-        for _ in range(2):  # a Generator moves on between calls, as before
-            got = verify_dilation(op, st, n_samples=20, seed=seed)
-            assert got == reference_dilation_residual(op, st, 20, ref_seed)
-        assert source_op._seeded_pairs.cache_info().currsize == 0
-
-    def test_second_call_draws_nothing(self, monkeypatch):
-        source_op._seeded_pairs.cache_clear()
-        st, op = self._cases()[1]
-        first = verify_dilation(op, st, n_samples=20, seed=3)
-        draws = _count_draws(monkeypatch)
-        calls = count_lapack(monkeypatch)
-        assert verify_dilation(op, st, n_samples=20, seed=3) == first
-        assert draws == [] and calls["eigvalsh"] == 0
-        verify_dilation(op, st, n_samples=21, seed=3)  # a new key draws once, one eigvalsh a site
-        assert len(draws) == 1 and calls["eigvalsh"] == 2
-
-    def test_large_requests_bypass_the_cache(self):
-        source_op._seeded_pairs.cache_clear()
-        st = random_pure_state(np.random.default_rng(73), 32, 32)
+    def test_solves_no_eigenproblem(self, monkeypatch):
+        st = random_pure_state(np.random.default_rng(89), 33, 33)
         op = build_source_1xs(schmidt_decompose(st), 1)
-        got = verify_dilation(op, st, n_samples=20, seed=0)  # 20 x 2048 entries: ten chunks
-        assert got == reference_dilation_residual(op, st, 20, 0)
-        assert source_op._seeded_pairs.cache_info().currsize == 0
-        st, op = self._cases()[0]
-        n = self._one_chunk(2, 2)
-        verify_dilation(op, st, n_samples=n + 1, seed=0)
-        assert source_op._seeded_pairs.cache_info().currsize == 0
-        verify_dilation(op, st, n_samples=n, seed=0)
-        assert source_op._seeded_pairs.cache_info().currsize == 1
+        calls = count_lapack(monkeypatch)
+        assert verify_dilation(op, st) < 1e-12
+        assert calls == {"cholesky": 0, "eigvalsh": 0}
 
-    def test_draws_capped_before_any_draw(self, monkeypatch):
-        st, op = self._cases()[0]
-        n = source_op.MAX_DILATION_ENTRIES // (op.d1**2 + op.d2**2)
-        draws = _count_draws(monkeypatch)
-        with pytest.raises(CapacityError, match="cap of"):
-            verify_dilation(op, st, n_samples=n + 1)
-        assert draws == []
-        # the cap itself is admitted; no pairs are streamed, to keep the check instant
-        monkeypatch.setattr(source_op, "_unit_hermitian_pairs", lambda *args: iter(()))
-        assert verify_dilation(op, st, n_samples=n) == 0.0
+    def test_bound_is_rounding_on_every_ladder_rung(self):
+        # the (d, s) rungs of the sourceop-ladder benchmark, full and rank-2 states
+        rng = np.random.default_rng(97)
+        for d, s in ((2, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (4, 3), (4, 4),
+                     (6, 3), (8, 2)):
+            for rank in sorted({d, 2}):
+                st = _rank_state(rng, d, rank)
+                sd = schmidt_decompose(st)
+                for build in (build_source_1xs, build_source_sx1):
+                    assert verify_dilation(build(sd, s), st) < 1e-13, (d, s, rank, build)
 
-    def test_cached_pairs_are_read_only(self):
-        for x in source_op._seeded_pairs(2, 3, 4, 0):
-            assert not x.flags.writeable
-            with pytest.raises(ValueError):
-                x.setflags(write=True)
-            with pytest.raises(ValueError):
-                x[0, 0, 0] = 1.0
+    def test_maximally_mixed_operator_is_exact(self):
+        # every marginal of I/N is I/n, and ||I/n - rho||_F = sqrt(1 - 1/n)
+        rng = np.random.default_rng(101)
+        for d1, d2, s1, s2 in ((2, 2, 1, 1), (2, 3, 1, 2), (3, 2, 2, 1), (1, 4, 1, 3)):
+            st = random_pure_state(rng, d1, d2)
+            size = d1**s1 * d2**s2
+            op = SourceOperator(s1=s1, s2=s2, d1=d1, d2=d2, matrix=np.eye(size) / size)
+            assert verify_dilation(op, st) == pytest.approx(math.sqrt(d1 * d2 - 1), rel=1e-13)
+
+    def test_bound_is_linear_in_a_caller_perturbation(self):
+        # the construction's own residual is rounding, so the bound is t times
+        # that of the unit perturbation, up to it
+        rng = np.random.default_rng(103)
+        st = random_pure_state(rng, 2, 3)
+        op = build_source_sx1(schmidt_decompose(st), 2)
+        n = op.matrix.shape[0]
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = g + g.conj().T
+        g -= np.trace(g) / n * np.eye(n)
+
+        def bound(t):
+            return verify_dilation(SourceOperator(s1=2, s2=1, d1=2, d2=3,
+                                                  matrix=op.matrix + t * g), st)
+
+        unit = bound(1.0)
+        assert unit > 1.0
+        for t in (1e-8, 1e-4, 0.5):
+            assert bound(t) == pytest.approx(t * unit, rel=1e-6)
 
 
 class TestFactorisedPath:
@@ -544,28 +533,57 @@ class TestFactorisedPath:
             )
 
     def test_sampled_residual_below_marginal_bound(self):
-        # |tr[(M - rho)(X1 (x) X2)]| <= ||M - rho||_1 for unit-norm observables
+        # |tr[(M - rho)(X1 (x) X2)]| <= ||M - rho||_1 for unit-norm observables,
+        # and the returned bound is never below ||M - rho||_1
         for st, op in self._checked_operators():
             psi = st.vector()
             rho = np.outer(psi, psi.conj())
-            bound = max(
+            holder = max(
                 float(np.sum(np.abs(np.linalg.eigvalsh(_marginal(op, i, j) - rho))))
                 for i in range(op.s1)
                 for j in range(op.s2)
             )
-            assert verify_dilation(op, st, n_samples=20, seed=5) <= bound + 1e-14
+            for sampled in (_embed_per_slot_residual(op, st, n_samples=6, seed=9),
+                            _per_sample_residual(op, st, n_samples=20, seed=5)):
+                assert sampled <= holder + 1e-14
+            assert holder <= verify_dilation(op, st) * (1.0 + 1e-12)
 
     def test_matches_embed_per_slot_formula(self):
+        # ||M_p - rho||_F^2 is the sum of |residual|^2 over an orthonormal Hermitian
+        # product basis, each observable embedded on its copy of the full space
+        def embed(x, d, s, slot):
+            return np.kron(np.kron(np.eye(d**slot), x), np.eye(d ** (s - 1 - slot)))
+
         for st, op in self._checked_operators():
-            want = _embed_per_slot_residual(op, st, n_samples=6, seed=9)
-            assert abs(verify_dilation(op, st, n_samples=6, seed=9) - want) <= 1e-12
+            psi = st.vector()
+            basis1, basis2 = _hermitian_basis(op.d1), _hermitian_basis(op.d2)
+            worst = 0.0
+            for slot1 in range(op.s1):
+                for slot2 in range(op.s2):
+                    total = 0.0
+                    for x1 in basis1:
+                        e1 = embed(x1, op.d1, op.s1, slot1)
+                        for x2 in basis2:
+                            e = np.kron(e1, embed(x2, op.d2, op.s2, slot2))
+                            want = np.vdot(psi, np.kron(x1, x2) @ psi)
+                            total += abs(np.sum(op.matrix.T * e) - want) ** 2
+                    worst = max(worst, math.sqrt(total))
+            want = math.sqrt(op.d1 * op.d2) * worst
+            assert abs(verify_dilation(op, st) - want) <= 1e-12 * max(1.0, want)
 
     def test_matches_per_sample_loop(self):
+        # the same sum, one basis pair at a time on the library's marginals
         for st, op in self._checked_operators():
-            # 300 samples span two chunks at d1 = d2 = 3
-            for n in (20, 300):
-                want = _per_sample_residual(op, st, n_samples=n, seed=13)
-                assert abs(verify_dilation(op, st, n_samples=n, seed=13) - want) <= 1e-15
+            amp = st.amplitudes
+            marginals = source_op._two_copy_marginals(op)
+            total = np.zeros(len(marginals))
+            for x1 in _hermitian_basis(op.d1):
+                for x2 in _hermitian_basis(op.d2):
+                    want = complex(np.trace(x1 @ amp @ x2.T @ amp.conj().T))
+                    got = np.einsum("pabcd,ca,db->p", marginals, x1, x2)
+                    total += np.abs(got - want) ** 2
+            want = math.sqrt(op.d1 * op.d2) * float(np.sqrt(np.max(total)))
+            assert abs(verify_dilation(op, st) - want) <= 1e-12 * max(1.0, want)
 
 
 class TestTraceNorm:
@@ -915,8 +933,6 @@ _HELD_ARRAYS = {
     "_copy_classes.reps": lambda: source_op._copy_classes(3, 2)[1],
     **{f"_closed_form_pattern.{i}": lambda i=i: source_op._closed_form_pattern(3, 2)[i]
        for i in range(5)},
-    "_seeded_pairs.x1": lambda: source_op._seeded_pairs(2, 3, 4, 0)[0],
-    "_seeded_pairs.x2": lambda: source_op._seeded_pairs(2, 3, 4, 0)[1],
 }
 
 
